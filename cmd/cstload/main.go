@@ -767,13 +767,48 @@ func writeBench(w io.Writer, r *report) {
 	fmt.Fprintf(w, "%s\n", line)
 }
 
+// maxRejectedShare is the largest share of attempts the server may refuse
+// with 429 before the run counts as failed: past it the run measured the
+// admission queue, not the scheduler.
+const maxRejectedShare = 0.5
+
+// rejectedShare is the 429 share of attempts: every request that got an
+// answer or a connection error (0 when nothing was tried).
+func (r *report) rejectedShare() float64 {
+	attempts := r.Scheduled + r.Rejected + r.ConnErrors
+	for _, n := range r.Unexpected {
+		attempts += n
+	}
+	if attempts == 0 {
+		return 0
+	}
+	return float64(r.Rejected) / float64(attempts)
+}
+
+// failure reports why the run should exit non-zero, or "" when it passed:
+// any unexpected status or connection error, nothing scheduled at all, or
+// more than maxRejectedShare of attempts refused with 429.
+func (r *report) failure() string {
+	switch {
+	case len(r.Unexpected) > 0:
+		return "unexpected statuses"
+	case r.ConnErrors > 0:
+		return "connection errors"
+	case r.Scheduled == 0:
+		return "no request was scheduled"
+	case r.rejectedShare() > maxRejectedShare:
+		return fmt.Sprintf("%.1f%% of attempts backpressured (limit %.0f%%)", 100*r.rejectedShare(), 100*maxRejectedShare)
+	}
+	return ""
+}
+
 func writeSummary(w io.Writer, r *report) {
 	proto := "http"
 	if r.Wire {
 		proto = "wire"
 	}
-	fmt.Fprintf(w, "cstload: [%s] %d scheduled, %d backpressured (429), %d connection errors in %v\n",
-		proto, r.Scheduled, r.Rejected, r.ConnErrors, r.Elapsed.Round(time.Millisecond))
+	fmt.Fprintf(w, "cstload: [%s] %d scheduled, %d backpressured (429, %.1f%% of attempts), %d connection errors in %v\n",
+		proto, r.Scheduled, r.Rejected, 100*r.rejectedShare(), r.ConnErrors, r.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "cstload: %.1f req/s over %d samples, p50 %v, p90 %v, p99 %v, max %v\n",
 		r.throughput(), len(r.Latencies),
 		r.quantile(0.50).Round(time.Microsecond), r.quantile(0.90).Round(time.Microsecond),
@@ -813,7 +848,8 @@ func main() {
 	}
 	writeSummary(os.Stderr, r)
 	writeBench(os.Stdout, r)
-	if len(r.Unexpected) > 0 || r.ConnErrors > 0 {
+	if why := r.failure(); why != "" {
+		fmt.Fprintf(os.Stderr, "cstload: FAIL: %s\n", why)
 		os.Exit(1)
 	}
 }

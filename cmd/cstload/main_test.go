@@ -76,6 +76,80 @@ func TestRunAgainstPool(t *testing.T) {
 	}
 }
 
+// TestRunAllRefusedFails pins the exit rule against a pool whose queue
+// always refuses: one shard with a one-slot queue, never started, whose
+// slot is held by a parked request. Every cstload attempt is a 429, so the
+// run must fail, and the summary must print the refused share.
+func TestRunAllRefusedFails(t *testing.T) {
+	pool, err := cst.NewServePool(cst.ServeConfig{PEs: 16, Shards: 1, QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(cst.NewServeHandler(pool, nil, nil, nil))
+	parked := make(chan struct{})
+	go func() {
+		defer close(parked)
+		pool.Schedule(0, 1, 0) // answered only when the cleanup drain starts the pool
+	}()
+	t.Cleanup(func() {
+		srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := pool.Drain(ctx); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+		<-parked
+	})
+	for pool.Snapshot().Admitted == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	r, err := run(loadOptions{addr: srv.URL, clients: 2, requests: 20, pes: 16, seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Scheduled != 0 || r.Rejected != 20 {
+		t.Fatalf("scheduled %d rejected %d, want 0 and 20", r.Scheduled, r.Rejected)
+	}
+	if why := r.failure(); why != "no request was scheduled" {
+		t.Fatalf("failure() = %q, want the nothing-scheduled verdict", why)
+	}
+	var b bytes.Buffer
+	writeSummary(&b, r)
+	if !strings.Contains(b.String(), "20 backpressured (429, 100.0% of attempts)") {
+		t.Errorf("summary does not print the refused share:\n%s", b.String())
+	}
+}
+
+// TestFailureRule pins each branch of the exit rule, including the
+// more-than-half 429 threshold on a run that did schedule something.
+func TestFailureRule(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		r    report
+		fail bool
+	}{
+		{"clean", report{Scheduled: 10}, false},
+		{"half refused", report{Scheduled: 5, Rejected: 5}, false},
+		{"most refused", report{Scheduled: 4, Rejected: 6}, true},
+		{"nothing scheduled", report{}, true},
+		{"connection errors", report{Scheduled: 10, ConnErrors: 1}, true},
+		{"unexpected status", report{Scheduled: 10, Unexpected: map[int]int{500: 1}}, true},
+	} {
+		if got := tc.r.failure() != ""; got != tc.fail {
+			t.Errorf("%s: failure() = %q, want fail=%v", tc.name, tc.r.failure(), tc.fail)
+		}
+	}
+	for _, r := range []report{
+		{Scheduled: 4, Rejected: 5, ConnErrors: 1},
+		{Scheduled: 4, Rejected: 5, Unexpected: map[int]int{504: 1}},
+	} {
+		if got := r.rejectedShare(); got != 0.5 {
+			t.Errorf("%+v: rejectedShare = %v, want 0.5 (every answer and connection error is an attempt)", r, got)
+		}
+	}
+}
+
 // TestWriteBench pins the stdout format cmd/benchjson ingests. The
 // latencies are deliberately unsorted: the quantiles route through
 // internal/stats, which sorts its own copy.

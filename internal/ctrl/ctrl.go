@@ -154,6 +154,17 @@ type Down struct {
 	Xs, Xd int
 }
 
+// Encodable reports whether EncodeDownInto accepts d: a known use tag and
+// both selectors in uint32 range. Engines that only count wire bytes use it
+// to skip the encode itself.
+func (d Down) Encodable() bool { return d.Use <= UseSD && counterOK(d.Xs) && counterOK(d.Xd) }
+
+// Encodable reports whether EncodeStoredInto accepts s: all five counters
+// in uint32 range.
+func (s Stored) Encodable() bool {
+	return counterOK(s.M) && counterOK(s.SL) && counterOK(s.DL) && counterOK(s.SR) && counterOK(s.DR)
+}
+
 // String renders e.g. "[s,d] xs=1 xd=0".
 func (d Down) String() string {
 	switch d.Use {
@@ -307,8 +318,11 @@ func DecodeDown(b []byte) (Down, error) {
 	}, nil
 }
 
+// counterOK reports whether v fits an encoded uint32 counter field.
+func counterOK(v int) bool { return v >= 0 && v <= int(^uint32(0)) }
+
 func checkCounter(name string, v int) error {
-	if v < 0 || v > int(^uint32(0)) {
+	if !counterOK(v) {
 		return fmt.Errorf("ctrl: field %s out of range: %d", name, v)
 	}
 	return nil

@@ -250,3 +250,33 @@ func TestEncodingRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEncodableMatchesEncoders pins Down.Encodable and Stored.Encodable to
+// exactly the words EncodeDownInto / EncodeStoredInto accept, including
+// the uint32 range edges and every use tag byte.
+func TestEncodableMatchesEncoders(t *testing.T) {
+	edges := []int{-1 << 40, -1, 0, 1, int(^uint32(0)) - 1, int(^uint32(0)), int(^uint32(0)) + 1, 1 << 40}
+	var buf [StoredWordBytes]byte
+	for tag := 0; tag < 256; tag++ {
+		for _, xs := range edges {
+			for _, xd := range edges {
+				d := Down{Use: Use(tag), Xs: xs, Xd: xd}
+				_, err := EncodeDownInto(buf[:], d)
+				if d.Encodable() != (err == nil) {
+					t.Fatalf("%+v: Encodable=%v, EncodeDownInto err=%v", d, d.Encodable(), err)
+				}
+			}
+		}
+	}
+	for i := 0; i < 5; i++ {
+		for _, v := range edges {
+			var f [5]int
+			f[i] = v
+			s := Stored{M: f[0], SL: f[1], DL: f[2], SR: f[3], DR: f[4]}
+			_, err := EncodeStoredInto(buf[:], s)
+			if s.Encodable() != (err == nil) {
+				t.Fatalf("%+v: Encodable=%v, EncodeStoredInto err=%v", s, s.Encodable(), err)
+			}
+		}
+	}
+}

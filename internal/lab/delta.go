@@ -14,11 +14,15 @@ import (
 
 // The delta twin measures the incremental scheduler against its own cost
 // model: at overlap ratio r, each delta mutates k = (1−r)·active slots of
-// a sparse session set, and the incremental apply should cost O(k·log₂N)
-// — versus the O(N) a from-scratch Reset+RunRounds pays regardless of k.
-// The sweep drives both paths over the same seeded mutation stream, so
-// besides latency it also pins correctness: the post-delta round count
-// must equal the from-scratch reference bit for bit.
+// a sparse session set. The incremental apply costs two terms: the Phase 1
+// patch over the dirty root paths, O(k·log₂N), and an ordinary Phase 2,
+// whose w rounds walk the pending pairs' root paths, O(w·|set|·log₂N). A
+// from-scratch Reset+RunRounds pays O(N) for Phase 1 plus the same Phase 2.
+// The fitted model c₀ + c₁·k·log₂N puts the Phase 2 term in c₀: at a fixed
+// session size and width it does not vary with k, and on the sparse shape
+// it is the larger share. The sweep drives both paths over the same seeded
+// mutation stream, so besides latency it also pins correctness: the
+// post-delta round count must equal the from-scratch reference bit for bit.
 
 // DeltaSweepConfig describes an overlap-ratio sweep of the incremental
 // scheduler.
@@ -26,7 +30,7 @@ type DeltaSweepConfig struct {
 	// N is the tree's leaf count; Active the number of occupied 4-leaf
 	// slots in the sparse session set (Active <= N/4). The sparse shape is
 	// deliberate: it is the regime where dirty root paths are disjoint and
-	// the O(|delta|·log N) claim is cleanly testable.
+	// the O(|delta|·log N) Phase 1 term is cleanly testable.
 	N, Active int
 	// Overlaps are the set-overlap ratios to sweep (e.g. 0.5, 0.75, 0.9);
 	// ratio r mutates k = round((1−r)·Active) slots per delta, at least 1.

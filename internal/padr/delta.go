@@ -18,6 +18,13 @@
 // communication's tree path adjusting loads, and a histogram over load
 // values yields the new maximum without an O(N) rescan.
 //
+// Cost of one Apply on a set of size |set| and width w. Only the Phase 1
+// patch is O(|delta|·log N). The nesting check walks the PE-occupancy
+// bitmap, O(N/64 + |set|), and the snapshot restore copies N−1 stored
+// words. Phase 2 is unchanged from a scratch run: each of its w rounds
+// walks the root paths of the pairs still pending, O(w·|set|·log N) in
+// all, and on sparse long-lived sets that term is the larger one.
+//
 // Invariants and fallback rules (DESIGN.md §incremental-scheduling):
 //
 //   - Apply is legal only on a Ready engine — one whose last run completed
@@ -173,8 +180,9 @@ func (e *Engine) applyPrepare(p *prepared, d Delta, light bool) error {
 	// from-scratch maxStored sweep always yields StoredWordBytes; only
 	// range validation needs to run, and only over the dirty switches.
 	maxStored := ctrl.StoredWordBytes
-	for _, u := range e.dirtyList {
-		if _, err := ctrl.EncodeStoredInto(e.encBuf[:], e.p1Stored[u]); err != nil {
+	for i := len(e.dirtyList) - 1; i >= 0; i-- {
+		if u := e.dirtyList[i]; !e.p1Stored[u].Encodable() {
+			_, err := ctrl.EncodeStoredInto(e.encBuf[:], e.p1Stored[u])
 			return e.fail(fmt.Errorf("padr: switch %d state not encodable: %v", u, err))
 		}
 	}
@@ -276,6 +284,8 @@ func (e *Engine) addComm(c comm.Comm) error {
 	}
 	e.leafRole[c.Src] = ctrl.Up{S: 1}
 	e.leafRole[c.Dst] = ctrl.Up{D: 1}
+	e.occupy(c.Src, true)
+	e.occupy(c.Dst, true)
 	e.dstOf[c.Src] = c.Dst
 	e.commPos[c.Src] = int32(len(e.set.Comms))
 	e.set.Comms = append(e.set.Comms, c)
@@ -292,6 +302,8 @@ func (e *Engine) removeComm(c comm.Comm) error {
 	}
 	e.leafRole[c.Src] = ctrl.Up{}
 	e.leafRole[c.Dst] = ctrl.Up{}
+	e.occupy(c.Src, false)
+	e.occupy(c.Dst, false)
 	e.dstOf[c.Src] = -1
 	i := int(e.commPos[c.Src])
 	last := len(e.set.Comms) - 1
@@ -384,8 +396,9 @@ func (e *Engine) markDirtyLeaf(pe int) {
 func (e *Engine) deltaPhase1() error {
 	// Heap numbering gives every child a larger id than its parent, so
 	// descending id order is a valid bottom-up order over the dirty set.
-	slices.SortFunc(e.dirtyList, func(a, b topology.Node) int { return int(b) - int(a) })
-	for _, u := range e.dirtyList {
+	slices.Sort(e.dirtyList)
+	for i := len(e.dirtyList) - 1; i >= 0; i-- {
+		u := e.dirtyList[i]
 		lc, rc := e.tree.Left(u), e.tree.Right(u)
 		left, err := e.upWordFromState(e.p1Stored, lc)
 		if err != nil {

@@ -8,7 +8,9 @@ import (
 
 	"cst/internal/comm"
 	"cst/internal/fault"
+	"cst/internal/power"
 	"cst/internal/topology"
+	"cst/internal/xbar"
 )
 
 // deltaDigest is the bit-identity surface of a run: everything Apply
@@ -160,6 +162,100 @@ func TestDeltaDifferential(t *testing.T) {
 	}
 }
 
+// TestDeltaPowerLedger pins the power half of Apply's contract: chained
+// deltas leave every crossbar — configuration, units spent and per-output
+// alternations — exactly where Reset+Run on the mutated set leaves crossbars
+// that carried the same history. Engine A chains Apply, engine C chains
+// ApplyRounds, and engine B re-runs from scratch each step; all three own
+// private caller-provided crossbars (Reset leaves those alone), in both
+// plain and reflected runs.
+func TestDeltaPowerLedger(t *testing.T) {
+	ns := []int{8, 16, 32, 64}
+	sides := []xbar.Side{xbar.L, xbar.R, xbar.P}
+	for seed := 0; seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		n := ns[seed%len(ns)]
+		tr, err := topology.New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		init, err := comm.RandomWellNested(rng, n, 1+rng.Intn(n/4+1))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		reflected := seed%2 == 1
+		var opts []Option
+		if seed%5 == 0 {
+			opts = append(opts, WithSelection(Conservative))
+		}
+		if seed%3 == 0 {
+			opts = append(opts, WithMode(power.Stateless))
+		}
+		newEng := func() (*Engine, map[topology.Node]*xbar.Switch) {
+			sw := freshSwitches(tr)
+			xo := WithCrossbars(sw)
+			if reflected {
+				xo = WithReflectedCrossbars(sw)
+			}
+			eng, err := New(tr, init.Clone(), append([]Option{xo}, opts...)...)
+			if err != nil {
+				t.Fatalf("seed %d: New: %v", seed, err)
+			}
+			return eng, sw
+		}
+		a, swA := newEng()
+		b, swB := newEng()
+		c, swC := newEng()
+		if _, err := a.Run(); err != nil {
+			t.Fatalf("seed %d: initial Run: %v", seed, err)
+		}
+		if _, err := b.Run(); err != nil {
+			t.Fatalf("seed %d: initial Run: %v", seed, err)
+		}
+		if _, err := c.RunRounds(); err != nil {
+			t.Fatalf("seed %d: initial RunRounds: %v", seed, err)
+		}
+		cur := append([]comm.Comm(nil), init.Comms...)
+		for step := 0; step < 4; step++ {
+			var d Delta
+			d, cur = genDelta(rng, n, cur)
+			resA, err := a.Apply(d)
+			if err != nil {
+				t.Fatalf("seed %d step %d: Apply: %v", seed, step, err)
+			}
+			if _, err := c.ApplyRounds(d); err != nil {
+				t.Fatalf("seed %d step %d: ApplyRounds: %v", seed, step, err)
+			}
+			if err := b.Reset(&comm.Set{N: n, Comms: append([]comm.Comm(nil), cur...)}); err != nil {
+				t.Fatalf("seed %d step %d: Reset: %v", seed, step, err)
+			}
+			resB, err := b.Run()
+			if err != nil {
+				t.Fatalf("seed %d step %d: Run: %v", seed, step, err)
+			}
+			if !reflect.DeepEqual(resA.Report, resB.Report) {
+				t.Fatalf("seed %d step %d: Apply's power report diverged from Reset+Run\n got: %+v\nwant: %+v",
+					seed, step, resA.Report, resB.Report)
+			}
+			tr.EachSwitch(func(u topology.Node) {
+				want := swB[u]
+				for name, got := range map[string]*xbar.Switch{"Apply": swA[u], "ApplyRounds": swC[u]} {
+					if got.Config() != want.Config() || got.ConfigChanges() != want.ConfigChanges() {
+						t.Fatalf("seed %d step %d switch %d (%s): config %s/%d changes, scratch %s/%d",
+							seed, step, u, name, got.Config(), got.ConfigChanges(), want.Config(), want.ConfigChanges())
+					}
+					for _, sd := range sides {
+						if got.Alternations(sd) != want.Alternations(sd) {
+							t.Fatalf("seed %d step %d switch %d (%s): output %s alternated %d times, scratch %d",
+								seed, step, u, name, sd, got.Alternations(sd), want.Alternations(sd))
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestDeltaEmptyAndClearAll covers the two boundary deltas: the empty
 // delta re-runs the same set, and a delta removing every communication
 // yields a legal zero-round schedule — both bit-identical to scratch.
@@ -264,16 +360,16 @@ func TestDeltaInvalidRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Delta{
-		{Remove: []comm.Comm{{Src: 2, Dst: 3}}},                                  // not in set
-		{Add: []comm.Comm{{Src: 0, Dst: 10}}},                                    // src busy
-		{Add: []comm.Comm{{Src: 2, Dst: 6}}},                                     // dst busy
-		{Add: []comm.Comm{{Src: 10, Dst: 4}}},                                    // left oriented
-		{Add: []comm.Comm{{Src: 3, Dst: 3}}},                                     // self loop
-		{Add: []comm.Comm{{Src: -1, Dst: 3}}},                                    // out of range
-		{Add: []comm.Comm{{Src: 2, Dst: 20}}},                                    // out of range
-		{Add: []comm.Comm{{Src: 5, Dst: 12}}},                                    // crosses 1->6 and 8->9
+		{Remove: []comm.Comm{{Src: 2, Dst: 3}}},                                     // not in set
+		{Add: []comm.Comm{{Src: 0, Dst: 10}}},                                       // src busy
+		{Add: []comm.Comm{{Src: 2, Dst: 6}}},                                        // dst busy
+		{Add: []comm.Comm{{Src: 10, Dst: 4}}},                                       // left oriented
+		{Add: []comm.Comm{{Src: 3, Dst: 3}}},                                        // self loop
+		{Add: []comm.Comm{{Src: -1, Dst: 3}}},                                       // out of range
+		{Add: []comm.Comm{{Src: 2, Dst: 20}}},                                       // out of range
+		{Add: []comm.Comm{{Src: 5, Dst: 12}}},                                       // crosses 1->6 and 8->9
 		{Remove: []comm.Comm{{Src: 8, Dst: 9}}, Add: []comm.Comm{{Src: 9, Dst: 9}}}, // valid prefix, bad add
-		{Remove: []comm.Comm{{Src: 0, Dst: 7}, {Src: 0, Dst: 7}}},                // double remove
+		{Remove: []comm.Comm{{Src: 0, Dst: 7}, {Src: 0, Dst: 7}}},                   // double remove
 	}
 	for i, d := range bad {
 		_, err := eng.Apply(d)
@@ -469,10 +565,15 @@ func TestDeltaApplyRoundsAllocFree(t *testing.T) {
 // 1024 PEs) — the regime the incremental hypothesis targets, where a
 // from-scratch prepare pays O(N) while both the delta prepare and the
 // pruned Phase 2 scale with the active communications.
+//
+// The mutation stream is a closed cycle: `phases` random deltas, then
+// their inverses in reverse order, so the last delta returns the set to
+// start and every delta has the same size. A benchmark can loop over it
+// forever with nothing but ApplyRounds on the clock.
 type deltaBenchState struct {
 	tr    *topology.Tree
-	sets  []*comm.Set // full set per phase, for the scratch engine
-	dels  []Delta     // delta from phase i to i+1 (cyclic)
+	sets  []*comm.Set // full set after each delta, for the scratch engine
+	dels  []Delta     // delta from set i−1 to set i; the last one ends at start
 	start *comm.Set
 }
 
@@ -519,6 +620,16 @@ func buildDeltaBench(b *testing.B, n, active int, overlap float64, phases int) *
 		st.dels = append(st.dels, d)
 		st.sets = append(st.sets, setOf())
 	}
+	// Walk back: undoing phase p removes what it added and re-adds what it
+	// removed, landing on the set before it (start, for p = 0).
+	for p := phases - 1; p >= 0; p-- {
+		st.dels = append(st.dels, Delta{Remove: st.dels[p].Add, Add: st.dels[p].Remove})
+		if p > 0 {
+			st.sets = append(st.sets, st.sets[p-1])
+		} else {
+			st.sets = append(st.sets, st.start)
+		}
+	}
 	return st
 }
 
@@ -527,7 +638,7 @@ func buildDeltaBench(b *testing.B, n, active int, overlap float64, phases int) *
 // same mutation stream. Their ratio feeds BENCH_ledger.jsonl via the lab
 // delta sweep, gated at <= 0.5 (Apply at least 2x faster).
 func BenchmarkDeltaApply(b *testing.B) {
-	st := buildDeltaBench(b, 1024, 64, 0.9, 16)
+	st := buildDeltaBench(b, 1024, 64, 0.9, 8)
 	eng, err := New(st.tr, st.start)
 	if err != nil {
 		b.Fatal(err)
@@ -536,41 +647,23 @@ func BenchmarkDeltaApply(b *testing.B) {
 		b.Fatal(err)
 	}
 	// One warm lap so every phase's arena growth happens outside the timer.
+	// The cycle is closed, so the lap ends back on start.
 	for _, d := range st.dels {
 		if _, err := eng.ApplyRounds(d); err != nil {
 			b.Fatal(err)
 		}
 	}
-	// Close the cycle: the last phase's set differs from start, so rebuild.
-	if err := eng.Reset(st.start); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := eng.RunRounds(); err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := st.dels[i%len(st.dels)]
-		if i%len(st.dels) == 0 && i > 0 {
-			// Re-anchor the cycle without timing the rebuild.
-			b.StopTimer()
-			if err := eng.Reset(st.start); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := eng.RunRounds(); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-		if _, err := eng.ApplyRounds(d); err != nil {
+		if _, err := eng.ApplyRounds(st.dels[i%len(st.dels)]); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkDeltaScratch(b *testing.B) {
-	st := buildDeltaBench(b, 1024, 64, 0.9, 16)
+	st := buildDeltaBench(b, 1024, 64, 0.9, 8)
 	eng, err := New(st.tr, st.start)
 	if err != nil {
 		b.Fatal(err)

@@ -25,6 +25,7 @@ package padr
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"cst/internal/comm"
@@ -216,7 +217,8 @@ type Engine struct {
 	dstOf    []int     // source PE -> destination PE, -1 if not a source
 	leafRole []ctrl.Up // what each PE reports in Step 1.1
 	leafDone []bool
-	commPos  []int32 // source PE -> index in set.Comms, -1 if not a source
+	commPos  []int32  // source PE -> index in set.Comms, -1 if not a source
+	occupied []uint64 // bit pe set iff PE pe is an endpoint; scanNested walks it
 
 	// Delta-scheduling state (see delta.go). p1Stored/p1MatchedSub are the
 	// pristine post-Phase-1 snapshot for the current set — the state Phase 2
@@ -306,6 +308,7 @@ func New(t *topology.Tree, s *comm.Set, opts ...Option) (*Engine, error) {
 		leafRole:   make([]ctrl.Up, n),
 		leafDone:   make([]bool, n),
 		commPos:    make([]int32, n),
+		occupied:   make([]uint64, (n+63)/64),
 		roundDsts:  make([]bool, n),
 	}
 	t.EachSwitch(func(u topology.Node) { e.switches[u] = xbar.NewSwitch() })
@@ -336,6 +339,7 @@ func (e *Engine) arm(s *comm.Set) error {
 		e.leafDone[pe] = false
 		e.commPos[pe] = -1
 	}
+	clear(e.occupied)
 	for i, c := range s.Comms {
 		if c.Src < 0 || c.Src >= s.N || c.Dst < 0 || c.Dst >= s.N {
 			return fmt.Errorf("padr: %s out of range for N=%d", c, s.N)
@@ -354,6 +358,8 @@ func (e *Engine) arm(s *comm.Set) error {
 			return fmt.Errorf("padr: PE %d appears in two communications", c.Dst)
 		}
 		e.leafRole[c.Dst] = ctrl.Up{D: 1}
+		e.occupy(c.Src, true)
+		e.occupy(c.Dst, true)
 		e.dstOf[c.Src] = c.Dst
 		e.commPos[c.Src] = int32(i)
 	}
@@ -375,24 +381,38 @@ func (e *Engine) arm(s *comm.Set) error {
 }
 
 // scanNested checks that the set currently loaded into the PE arenas is
-// oriented well-nested: scan the PE line keeping a stack of open
-// destinations; every destination must close the innermost open span.
+// oriented well-nested: scan the endpoints left to right keeping a stack of
+// open destinations; every destination must close the innermost open span.
+// The scan visits only occupied PEs, through the occupancy bitmap, so it
+// costs O(N/64 + |set|).
 func (e *Engine) scanNested() bool {
 	stack := e.nestStack[:0]
-	for pe := 0; pe < len(e.leafRole); pe++ {
-		switch {
-		case e.leafRole[pe].S == 1:
-			stack = append(stack, e.dstOf[pe])
-		case e.leafRole[pe].D == 1:
-			if len(stack) == 0 || stack[len(stack)-1] != pe {
-				e.nestStack = stack[:0]
-				return false
+	for i, word := range e.occupied {
+		for ; word != 0; word &= word - 1 {
+			pe := i<<6 + bits.TrailingZeros64(word)
+			switch {
+			case e.leafRole[pe].S == 1:
+				stack = append(stack, e.dstOf[pe])
+			case e.leafRole[pe].D == 1:
+				if len(stack) == 0 || stack[len(stack)-1] != pe {
+					e.nestStack = stack[:0]
+					return false
+				}
+				stack = stack[:len(stack)-1]
 			}
-			stack = stack[:len(stack)-1]
 		}
 	}
 	e.nestStack = stack[:0]
 	return true
+}
+
+// occupy sets or clears PE pe's bit in the occupancy bitmap.
+func (e *Engine) occupy(pe int, on bool) {
+	if on {
+		e.occupied[pe>>6] |= 1 << (pe & 63)
+	} else {
+		e.occupied[pe>>6] &^= 1 << (pe & 63)
+	}
 }
 
 // Reset re-arms the engine for a new communication set on the same tree,
@@ -939,7 +959,7 @@ func (e *Engine) dispatch(n topology.Node, in ctrl.Down) error {
 	if e.tree.IsLeaf(n) {
 		return e.leaf(n, in)
 	}
-	if e.inj.FrozenAt(n, e.curRound) {
+	if e.inj != nil && e.inj.FrozenAt(n, e.curRound) {
 		// A frozen switch serves nothing; the sequential engine observes the
 		// stall synchronously as a dead switch (the concurrent fabric
 		// instead watches the wave vanish and reports ErrDeadline).
@@ -1013,8 +1033,8 @@ func (e *Engine) sendDown(parent, child topology.Node, w ctrl.Down) {
 		e.activeDown++
 		e.met.activeDown.Inc()
 	}
-	if sz, err := ctrl.EncodeDownInto(e.encBuf[:], w); err == nil {
-		e.downBytes += sz
+	if w.Encodable() {
+		e.downBytes += ctrl.DownWordBytes
 	}
 	if e.obs.WordSent != nil {
 		e.obs.WordSent(parent, child, w)
@@ -1073,39 +1093,42 @@ func (e *Engine) configure(u topology.Node, in ctrl.Down) (left, right ctrl.Down
 	if e.reflected {
 		phys = e.tree.Reflect(u)
 	}
-	st := e.stored[u]
+	sw := e.switches[phys]
+	st := &e.stored[u]
 	mBefore := st.M
-	before := e.switches[phys].Config()
-	defer func() {
-		e.stored[u] = st
-		if dm := mBefore - st.M; dm != 0 {
-			// A matched pair started here: keep the subtree totals on the
-			// root path exact so future rounds prune correctly.
-			for v := u; v >= e.tree.Root(); v = e.tree.Parent(v) {
-				e.matchedSub[v] -= dm
-			}
-		}
-		if err != nil {
-			return
-		}
-		if e.obs.Configured != nil {
-			e.obs.Configured(phys, e.switches[phys].Config())
-		}
-		// Trace only genuine reconfigurations: the events are the audit
-		// trail for Theorem 8's O(1)-changes-per-switch claim.
-		if e.tracer != nil {
-			if after := e.switches[phys].Config(); after != before {
-				e.tracer.Emit(obs.Event{
-					Type: "switch.config", Engine: "padr", Round: e.curRound,
-					Node: int(phys), Config: after.String(),
-				})
-			}
-		}
-	}()
-	if e.reflected {
-		return Step(&st, sideSwapper{e.switches[phys]}, in, e.sel)
+	var before xbar.Config
+	if e.tracer != nil {
+		before = sw.Config()
 	}
-	return Step(&st, e.switches[phys], in, e.sel)
+	if e.reflected {
+		left, right, err = Step(st, sideSwapper{sw}, in, e.sel)
+	} else {
+		left, right, err = Step(st, sw, in, e.sel)
+	}
+	if dm := mBefore - st.M; dm != 0 {
+		// A matched pair started here: keep the subtree totals on the root
+		// path exact so future rounds prune correctly.
+		for v := u; v >= e.tree.Root(); v = e.tree.Parent(v) {
+			e.matchedSub[v] -= dm
+		}
+	}
+	if err != nil {
+		return left, right, err
+	}
+	if e.obs.Configured != nil {
+		e.obs.Configured(phys, sw.Config())
+	}
+	// Trace only genuine reconfigurations: the events are the audit trail
+	// for Theorem 8's O(1)-changes-per-switch claim.
+	if e.tracer != nil {
+		if after := sw.Config(); after != before {
+			e.tracer.Emit(obs.Event{
+				Type: "switch.config", Engine: "padr", Round: e.curRound,
+				Node: int(phys), Config: after.String(),
+			})
+		}
+	}
+	return left, right, nil
 }
 
 // sideSwapper applies connections with the left and right sides exchanged —
@@ -1130,6 +1153,21 @@ func swapLR(s xbar.Side) xbar.Side {
 	}
 }
 
+// startMatched reports whether a switch in state st may begin one of its
+// own matched pairs now. A matched pair occupies l_i and r_o; under the
+// Conservative rule the switch first drains the outer communications that
+// need those ports (left up-passes on l_i, right down-passes on r_o), which
+// keeps each port's demand sequence contiguous (Lemma 7).
+func startMatched(st *ctrl.Stored, sel Selection) bool {
+	if st.M == 0 {
+		return false
+	}
+	if sel == Greedy {
+		return true
+	}
+	return st.SL == 0 && st.DR == 0
+}
+
 // Step is the paper's CONFIGURE procedure (Fig. 5) plus its mirrored
 // [d,null] and [s,d] cases (omitted in the paper "for shortage of space").
 // It consumes the word received from the parent, establishes this round's
@@ -1142,25 +1180,7 @@ func swapLR(s xbar.Side) xbar.Side {
 // communication passing above u strictly contains every communication
 // matched at u, so its source lies further left. Destinations mirror this
 // with right-to-left ordering: indices 0..DR-1 live in the right subtree.
-func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (left, right ctrl.Down, err error) {
-	st := *stp
-	defer func() { *stp = st }()
-	connect := func(in, out xbar.Side) error { return sw.Connect(in, out) }
-	// startMatched reports whether this switch may begin one of its own
-	// matched pairs now. A matched pair occupies l_i and r_o; under the
-	// Conservative rule the switch first drains the outer communications
-	// that need those ports (left up-passes on l_i, right down-passes on
-	// r_o), which keeps each port's demand sequence contiguous (Lemma 7).
-	startMatched := func() bool {
-		if st.M == 0 {
-			return false
-		}
-		if sel == Greedy {
-			return true
-		}
-		return st.SL == 0 && st.DR == 0
-	}
-
+func Step(st *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (left, right ctrl.Down, err error) {
 	switch in.Use {
 	case ctrl.UseNone:
 		// No demand from above. If pairs are matched here (and, under the
@@ -1170,8 +1190,8 @@ func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (lef
 		// (SL)-th pending left source — exactly the number of still-pending
 		// communications that pass above u, all of which contain it;
 		// mirrored for the destination.
-		if startMatched() {
-			if err = connect(xbar.L, xbar.R); err != nil {
+		if startMatched(st, sel) {
+			if err = sw.Connect(xbar.L, xbar.R); err != nil {
 				return
 			}
 			st.M--
@@ -1191,7 +1211,7 @@ func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (lef
 			// Source in the left subtree: l_i→p_o. The right link is idle,
 			// but r_o is not available for a matched pair (it would need
 			// l_i, which is busy).
-			if err = connect(xbar.L, xbar.P); err != nil {
+			if err = sw.Connect(xbar.L, xbar.P); err != nil {
 				return
 			}
 			st.SL--
@@ -1201,14 +1221,14 @@ func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (lef
 		// Source in the right subtree: r_i→p_o; l_i and r_o are free, so u
 		// can simultaneously start its own outermost matched pair (the
 		// pseudocode's upgrade of C_{D-R} to [s,d]).
-		if err = connect(xbar.R, xbar.P); err != nil {
+		if err = sw.Connect(xbar.R, xbar.P); err != nil {
 			return
 		}
 		xsr := xs - st.SL
 		st.SR--
 		right = ctrl.Down{Use: ctrl.UseS, Xs: xsr}
-		if startMatched() {
-			if err = connect(xbar.L, xbar.R); err != nil {
+		if startMatched(st, sel) {
+			if err = sw.Connect(xbar.L, xbar.R); err != nil {
 				return
 			}
 			st.M--
@@ -1226,21 +1246,21 @@ func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (lef
 			return
 		}
 		if st.DR > xd {
-			if err = connect(xbar.P, xbar.R); err != nil {
+			if err = sw.Connect(xbar.P, xbar.R); err != nil {
 				return
 			}
 			st.DR--
 			right = ctrl.Down{Use: ctrl.UseD, Xd: xd}
 			return
 		}
-		if err = connect(xbar.P, xbar.L); err != nil {
+		if err = sw.Connect(xbar.P, xbar.L); err != nil {
 			return
 		}
 		xdl := xd - st.DR
 		st.DL--
 		left = ctrl.Down{Use: ctrl.UseD, Xd: xdl}
-		if startMatched() {
-			if err = connect(xbar.L, xbar.R); err != nil {
+		if startMatched(st, sel) {
+			if err = sw.Connect(xbar.L, xbar.R); err != nil {
 				return
 			}
 			st.M--
@@ -1265,10 +1285,10 @@ func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (lef
 		dstRight := st.DR > xd
 		switch {
 		case srcLeft && dstRight:
-			if err = connect(xbar.L, xbar.P); err != nil {
+			if err = sw.Connect(xbar.L, xbar.P); err != nil {
 				return
 			}
-			if err = connect(xbar.P, xbar.R); err != nil {
+			if err = sw.Connect(xbar.P, xbar.R); err != nil {
 				return
 			}
 			st.SL--
@@ -1276,10 +1296,10 @@ func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (lef
 			left = ctrl.Down{Use: ctrl.UseS, Xs: xs}
 			right = ctrl.Down{Use: ctrl.UseD, Xd: xd}
 		case srcLeft && !dstRight:
-			if err = connect(xbar.L, xbar.P); err != nil {
+			if err = sw.Connect(xbar.L, xbar.P); err != nil {
 				return
 			}
-			if err = connect(xbar.P, xbar.L); err != nil {
+			if err = sw.Connect(xbar.P, xbar.L); err != nil {
 				return
 			}
 			xdl := xd - st.DR
@@ -1287,10 +1307,10 @@ func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (lef
 			st.DL--
 			left = ctrl.Down{Use: ctrl.UseSD, Xs: xs, Xd: xdl}
 		case !srcLeft && dstRight:
-			if err = connect(xbar.R, xbar.P); err != nil {
+			if err = sw.Connect(xbar.R, xbar.P); err != nil {
 				return
 			}
-			if err = connect(xbar.P, xbar.R); err != nil {
+			if err = sw.Connect(xbar.P, xbar.R); err != nil {
 				return
 			}
 			xsr := xs - st.SL
@@ -1298,10 +1318,10 @@ func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (lef
 			st.DR--
 			right = ctrl.Down{Use: ctrl.UseSD, Xs: xsr, Xd: xd}
 		default: // source from the right, destination to the left
-			if err = connect(xbar.R, xbar.P); err != nil {
+			if err = sw.Connect(xbar.R, xbar.P); err != nil {
 				return
 			}
-			if err = connect(xbar.P, xbar.L); err != nil {
+			if err = sw.Connect(xbar.P, xbar.L); err != nil {
 				return
 			}
 			xsr := xs - st.SL
@@ -1310,8 +1330,8 @@ func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (lef
 			st.DL--
 			// l_i and r_o are both free: start the outermost matched pair
 			// too, if permitted.
-			if startMatched() {
-				if err = connect(xbar.L, xbar.R); err != nil {
+			if startMatched(st, sel) {
+				if err = sw.Connect(xbar.L, xbar.R); err != nil {
 					return
 				}
 				st.M--

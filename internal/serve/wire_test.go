@@ -239,18 +239,24 @@ func TestWireDrainZeroLoss(t *testing.T) {
 	addr, p, ws, _ := startWire(t,
 		Config{PEs: 64, Shards: 2, BatchWait: 5 * time.Millisecond}, WireConfig{MaxPipeline: 16})
 
+	// Every client connects and finishes its handshake before the drain
+	// can start, so the drain always lands on requests in flight rather
+	// than on a late dial.
 	const clients = 4
+	conns := make([]*wire.ClientConn, clients)
+	for ci := range conns {
+		c, err := wire.Dial(addr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[ci] = c
+	}
 	var wg sync.WaitGroup
 	got := make([]int, clients)
-	for ci := 0; ci < clients; ci++ {
+	for ci, c := range conns {
 		wg.Add(1)
-		go func(ci int) {
+		go func(ci int, c *wire.ClientConn) {
 			defer wg.Done()
-			c, err := wire.Dial(addr, 5*time.Second)
-			if err != nil {
-				t.Error(err)
-				return
-			}
 			defer c.Close()
 			sent := 0
 			for i := 0; i < 40; i++ {
@@ -270,7 +276,7 @@ func TestWireDrainZeroLoss(t *testing.T) {
 				}
 				got[ci]++
 			}
-		}(ci)
+		}(ci, c)
 	}
 
 	// Let the burst land, then drain mid-stream.
