@@ -26,8 +26,8 @@
 //
 // With -delta-workload each client opens one long-lived delta session
 // (session ids spread across the server's pinned shards) and streams
-// incremental mutations against it — POST /schedule-delta over HTTP, v4
-// delta frames in wire mode. -delta-overlap sets how much of the session
+// incremental mutations against it — POST /schedule-delta over HTTP, delta
+// frames in wire mode. -delta-overlap sets how much of the session
 // set survives each delta (0.9 = 10% churn). Bench lines use a Delta
 // prefix (BenchmarkDelta*, BenchmarkDeltaWire*).
 //
@@ -58,6 +58,7 @@ import (
 
 	"cst/internal/comm"
 	"cst/internal/obs"
+	"cst/internal/serve"
 	"cst/internal/stats"
 	"cst/internal/wire"
 )
@@ -92,7 +93,7 @@ func parseFlags(args []string) (loadOptions, error) {
 	fs.Int64Var(&o.seed, "seed", 1, "request-pattern seed")
 	fs.StringVar(&o.setWorkload, "set-workload", "", "submit whole sets to the hybrid planner: bitrev, crossing or random (empty = pair requests)")
 	fs.IntVar(&o.setSize, "set-size", 8, "communications per generated set (bitrev ignores this)")
-	fs.BoolVar(&o.deltaMode, "delta-workload", false, "drive session-scoped delta scheduling (POST /schedule-delta, or v4 delta frames in wire mode)")
+	fs.BoolVar(&o.deltaMode, "delta-workload", false, "drive session-scoped delta scheduling (POST /schedule-delta, or delta frames in wire mode)")
 	fs.Float64Var(&o.deltaOverlap, "delta-overlap", 0.9, "delta mode: set overlap ratio between consecutive schedules (0 <= r < 1)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
@@ -420,16 +421,15 @@ func run(o loadOptions) (*report, error) {
 			r := &reports[g]
 			r.Unexpected = make(map[int]int)
 			rng := rand.New(rand.NewSource(o.seed + int64(g)))
-			if o.setWorkload != "" {
+			switch {
+			case o.setWorkload != "":
 				gen := &setGen{rng: rng, pes: o.pes, size: o.setSize, workload: o.setWorkload}
 				if o.wireAddr != "" {
 					runWireSetClient(o, budget, gen, r)
 				} else {
-					runHTTPSetClient(o, budget, gen, r)
+					runHTTPClient(o, budget, "/schedule-set", gen.request, r)
 				}
-				return
-			}
-			if o.deltaMode {
+			case o.deltaMode:
 				gen, err := newDeltaGen(rng, o.pes, o.deltaOverlap)
 				if err != nil {
 					r.ConnErrors++
@@ -443,15 +443,22 @@ func run(o loadOptions) (*report, error) {
 				if o.wireAddr != "" {
 					runWireDeltaClient(o, budget, gen, session, r)
 				} else {
-					runHTTPDeltaClient(o, budget, gen, session, r)
+					runHTTPClient(o, budget, "/schedule-delta", func() (any, error) {
+						remove, add := gen.next()
+						return serve.ScheduleDeltaRequest{Session: session, Remove: setComms(remove),
+							Add: setComms(add), DeadlineMS: o.deadlineMS}, nil
+					}, r)
 				}
-				return
-			}
-			gen := &pairGen{rng: rng, pes: o.pes}
-			if o.wireAddr != "" {
-				runWireClient(o, budget, gen, r)
-			} else {
-				runHTTPClient(o, budget, gen, r)
+			default:
+				gen := &pairGen{rng: rng, pes: o.pes}
+				if o.wireAddr != "" {
+					runWireClient(o, budget, gen, r)
+				} else {
+					runHTTPClient(o, budget, "/schedule", func() (any, error) {
+						src, dst := gen.next()
+						return serve.ScheduleRequest{Src: src, Dst: dst, DeadlineMS: o.deadlineMS}, nil
+					}, r)
+				}
 			}
 		}(g)
 	}
@@ -470,17 +477,45 @@ func run(o loadOptions) (*report, error) {
 	return total, nil
 }
 
-// runHTTPClient is the closed-loop HTTP/JSON client: one request in
-// flight, POST /schedule, count the answer.
-func runHTTPClient(o loadOptions, budget *budgeter, gen *pairGen, r *report) {
+// request builds the next set as a POST /schedule-set payload.
+func (g *setGen) request() (any, error) {
+	s, err := g.next()
+	if err != nil {
+		return nil, err
+	}
+	comms := make([]serve.SetComm, s.Len())
+	for i, cm := range s.Comms {
+		comms[i] = serve.SetComm{Src: cm.Src, Dst: cm.Dst}
+	}
+	return serve.ScheduleSetRequest{N: s.N, Comms: comms}, nil
+}
+
+// setComms converts generator pairs to JSON communications.
+func setComms(ps [][2]int) []serve.SetComm {
+	out := make([]serve.SetComm, len(ps))
+	for i, p := range ps {
+		out[i] = serve.SetComm{Src: p[0], Dst: p[1]}
+	}
+	return out
+}
+
+// runHTTPClient is the closed-loop HTTP/JSON client of every request kind:
+// one request in flight, POST next's payload to path, count the answer. A
+// generator error ends the client as a connection error. On a delta
+// session a 400 means client and server state diverged — that is a run
+// failure, not noise, so it lands in Unexpected like any other
+// non-2xx/429.
+func runHTTPClient(o loadOptions, budget *budgeter, path string, next func() (any, error), r *report) {
 	client := &http.Client{Timeout: 30 * time.Second}
 	for budget.take() {
-		src, dst := gen.next()
-		body, _ := json.Marshal(map[string]any{
-			"src": src, "dst": dst, "deadline_ms": o.deadlineMS,
-		})
+		payload, err := next()
+		if err != nil {
+			r.ConnErrors++
+			return
+		}
+		body, _ := json.Marshal(payload)
 		t0 := time.Now()
-		resp, err := client.Post(o.addr+"/schedule", "application/json", bytes.NewReader(body))
+		resp, err := client.Post(o.addr+path, "application/json", bytes.NewReader(body))
 		if err != nil {
 			r.ConnErrors++
 			continue
@@ -494,171 +529,89 @@ func runHTTPClient(o loadOptions, budget *budgeter, gen *pairGen, r *report) {
 	}
 }
 
-// runHTTPSetClient is the closed-loop set-planning client: one whole set
-// in flight, POST /schedule-set, count the answer.
-func runHTTPSetClient(o loadOptions, budget *budgeter, gen *setGen, r *report) {
-	client := &http.Client{Timeout: 30 * time.Second}
-	type jsonComm struct {
-		Src int `json:"src"`
-		Dst int `json:"dst"`
-	}
-	for budget.take() {
-		s, err := gen.next()
-		if err != nil {
-			r.ConnErrors++
-			return
-		}
-		comms := make([]jsonComm, s.Len())
-		for i, cm := range s.Comms {
-			comms[i] = jsonComm{Src: cm.Src, Dst: cm.Dst}
-		}
-		body, _ := json.Marshal(map[string]any{"n": s.N, "comms": comms})
-		t0 := time.Now()
-		resp, err := client.Post(o.addr+"/schedule-set", "application/json", bytes.NewReader(body))
-		if err != nil {
-			r.ConnErrors++
-			continue
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		r.count(resp.StatusCode, time.Since(t0), headerTrace(resp.Header))
-	}
-}
-
-// runHTTPDeltaClient is the closed-loop delta client: one session, one
-// mutation in flight, POST /schedule-delta. A 400 on a warm session means
-// client and server state diverged — that is a run failure, not noise, so
-// it lands in Unexpected like any other non-2xx/429.
-func runHTTPDeltaClient(o loadOptions, budget *budgeter, gen *deltaGen, session uint64, r *report) {
-	client := &http.Client{Timeout: 30 * time.Second}
-	type jsonComm struct {
-		Src int `json:"src"`
-		Dst int `json:"dst"`
-	}
-	pairs := func(ps [][2]int) []jsonComm {
-		out := make([]jsonComm, len(ps))
-		for i, p := range ps {
-			out[i] = jsonComm{Src: p[0], Dst: p[1]}
-		}
-		return out
-	}
-	for budget.take() {
-		remove, add := gen.next()
-		body, _ := json.Marshal(map[string]any{
-			"session": session, "remove": pairs(remove), "add": pairs(add),
-			"deadline_ms": o.deadlineMS,
-		})
-		t0 := time.Now()
-		resp, err := client.Post(o.addr+"/schedule-delta", "application/json", bytes.NewReader(body))
-		if err != nil {
-			r.ConnErrors++
-			continue
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		r.count(resp.StatusCode, time.Since(t0), headerTrace(resp.Header))
-		if resp.StatusCode == http.StatusTooManyRequests {
-			time.Sleep(200 * time.Microsecond)
-		}
-	}
-}
-
-// runWireDeltaClient drives one session's deltas over a persistent v4
-// wire connection, one in flight — a session's deltas are ordered on its
-// pinned shard, so pipelining them would only measure queueing.
-func runWireDeltaClient(o loadOptions, budget *budgeter, gen *deltaGen, session uint64, r *report) {
+// runWireSerial drives one persistent wire connection with one request in
+// flight: next builds request id (an error ends the client as a
+// connection error), send buffers it, and recv returns the answer's id,
+// status and trace id. Sets and deltas run this way — set planning is
+// server-side CPU work and a session's deltas are ordered on its pinned
+// shard, so pipelining either would only measure queueing.
+func runWireSerial(o loadOptions, budget *budgeter, r *report, next func(id uint64) error,
+	send func(c *wire.ClientConn) error,
+	recv func(c *wire.ClientConn) (id uint64, status int, trace uint64, err error)) {
 	c, err := wire.Dial(o.wireAddr, 10*time.Second)
 	if err != nil {
 		r.ConnErrors++
 		return
 	}
 	defer c.Close()
-	if c.ProtocolVersion() < wire.VersionDelta {
-		fmt.Fprintf(os.Stderr, "cstload: server negotiated v%d, deltas need v%d\n",
-			c.ProtocolVersion(), wire.VersionDelta)
-		r.ConnErrors++
-		return
+	for id := uint64(1); budget.take(); id++ {
+		if err := next(id); err != nil {
+			r.ConnErrors++
+			return
+		}
+		t0 := time.Now()
+		if err := send(c); err != nil {
+			r.ConnErrors++
+			return
+		}
+		if err := c.Flush(); err != nil {
+			r.ConnErrors++
+			return
+		}
+		got, status, trace, err := recv(c)
+		if err != nil || got != id {
+			r.ConnErrors++
+			return
+		}
+		r.count(status, time.Since(t0), wireTrace(trace))
+		if status == http.StatusTooManyRequests {
+			time.Sleep(200 * time.Microsecond)
+		}
 	}
+}
 
+// runWireDeltaClient drives one session's deltas over a wire connection.
+func runWireDeltaClient(o loadOptions, budget *budgeter, gen *deltaGen, session uint64, r *report) {
 	var req wire.DeltaRequest
 	var resp wire.DeltaResponse
-	id := uint64(1)
-	for budget.take() {
-		req.ID = id
-		id++
-		req.Session = session
-		req.DeadlineMS = o.deadlineMS
-		req.Remove, req.Add = gen.next()
-		t0 := time.Now()
-		if err := c.SendDelta(&req); err != nil {
-			r.ConnErrors++
-			return
-		}
-		if err := c.Flush(); err != nil {
-			r.ConnErrors++
-			return
-		}
-		if err := c.RecvDelta(&resp); err != nil {
-			r.ConnErrors++
-			return
-		}
-		if resp.ID != req.ID {
-			r.ConnErrors++
-			return
-		}
-		r.count(resp.Status, time.Since(t0), wireTrace(resp.Trace))
-		if resp.Status == http.StatusTooManyRequests {
-			time.Sleep(200 * time.Microsecond)
-		}
-	}
+	runWireSerial(o, budget, r,
+		func(id uint64) error {
+			req.ID = id
+			req.Session = session
+			req.DeadlineMS = o.deadlineMS
+			req.Remove, req.Add = gen.next()
+			return nil
+		},
+		func(c *wire.ClientConn) error { return c.SendDelta(&req) },
+		func(c *wire.ClientConn) (uint64, int, uint64, error) {
+			err := c.RecvDelta(&resp)
+			return resp.ID, resp.Status, resp.Trace, err
+		})
 }
 
-// runWireSetClient drives set requests over one persistent wire
-// connection, one plan in flight — set planning is server-side CPU work,
-// so pipelining sets would only measure queueing.
+// runWireSetClient drives set requests over a wire connection.
 func runWireSetClient(o loadOptions, budget *budgeter, gen *setGen, r *report) {
-	c, err := wire.Dial(o.wireAddr, 10*time.Second)
-	if err != nil {
-		r.ConnErrors++
-		return
-	}
-	defer c.Close()
-
 	var req wire.SetRequest
 	var resp wire.SetResponse
-	id := uint64(1)
-	for budget.take() {
-		s, err := gen.next()
-		if err != nil {
-			r.ConnErrors++
-			return
-		}
-		req.ID = id
-		id++
-		req.N = s.N
-		req.Pairs = req.Pairs[:0]
-		for _, cm := range s.Comms {
-			req.Pairs = append(req.Pairs, [2]int{cm.Src, cm.Dst})
-		}
-		t0 := time.Now()
-		if err := c.SendSet(&req); err != nil {
-			r.ConnErrors++
-			return
-		}
-		if err := c.Flush(); err != nil {
-			r.ConnErrors++
-			return
-		}
-		if err := c.RecvSet(&resp); err != nil {
-			r.ConnErrors++
-			return
-		}
-		if resp.ID != req.ID {
-			r.ConnErrors++
-			return
-		}
-		r.count(resp.Status, time.Since(t0), wireTrace(resp.Trace))
-	}
+	runWireSerial(o, budget, r,
+		func(id uint64) error {
+			s, err := gen.next()
+			if err != nil {
+				return err
+			}
+			req.ID = id
+			req.N = s.N
+			req.Pairs = req.Pairs[:0]
+			for _, cm := range s.Comms {
+				req.Pairs = append(req.Pairs, [2]int{cm.Src, cm.Dst})
+			}
+			return nil
+		},
+		func(c *wire.ClientConn) error { return c.SendSet(&req) },
+		func(c *wire.ClientConn) (uint64, int, uint64, error) {
+			err := c.RecvSet(&resp)
+			return resp.ID, resp.Status, resp.Trace, err
+		})
 }
 
 // runWireClient drives one persistent wire connection with up to

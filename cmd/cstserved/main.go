@@ -185,7 +185,10 @@ func newServer(o options, out io.Writer) (*server, error) {
 		Registry:    s.reg,
 		Tracer:      s.tracer,
 	})
-	s.srv = &http.Server{Handler: cst.NewServeHandler(pool, s.planner, s.reg, s.tracer)}
+	s.srv = &http.Server{
+		Handler:           cst.NewServeHandler(pool, s.planner, s.reg, s.tracer),
+		ReadHeaderTimeout: 10 * time.Second,
+	}
 	if o.wireAddr != "" {
 		wln, err := net.Listen("tcp", o.wireAddr)
 		if err != nil {

@@ -3,8 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -180,7 +178,7 @@ func TestHTTPScheduleDelta(t *testing.T) {
 	}
 }
 
-// TestWireDeltaRoundtrip exercises the v4 frame end to end over a real
+// TestWireDeltaRoundtrip exercises the delta frame end to end over a real
 // connection, interleaved with pair requests on the same session slots.
 func TestWireDeltaRoundtrip(t *testing.T) {
 	addr, p, _, teardown := startWire(t, Config{PEs: 16, Shards: 2}, WireConfig{})
@@ -191,9 +189,6 @@ func TestWireDeltaRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if v := c.ProtocolVersion(); v < wire.VersionDelta {
-		t.Fatalf("negotiated v%d, want >= v%d", v, wire.VersionDelta)
-	}
 
 	if err := c.SendDelta(&wire.DeltaRequest{ID: 1, Session: 9,
 		Add: [][2]int{{0, 7}, {1, 2}}}); err != nil {
@@ -259,49 +254,6 @@ func TestWireDeltaRoundtrip(t *testing.T) {
 
 	if st := p.Snapshot(); st.Admitted != st.Responded {
 		t.Fatalf("ledger: admitted %d responded %d", st.Admitted, st.Responded)
-	}
-}
-
-// TestWireDeltaOnV3Session pins version gating server-side: a delta frame
-// on a session that negotiated v3 is a protocol violation — the
-// connection dies and the counter ticks. (Client-side gating is pinned by
-// the wire package's TestSendDeltaNeedsV4.)
-func TestWireDeltaOnV3Session(t *testing.T) {
-	reg := obs.New()
-	addr, _, _, teardown := startWire(t, Config{PEs: 16, Shards: 1}, WireConfig{Registry: reg})
-	defer teardown()
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(wire.AppendHello(nil, 3)); err != nil {
-		t.Fatal(err)
-	}
-	var accept [wire.HandshakeBytes]byte
-	if _, err := io.ReadFull(conn, accept[:]); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := wire.ParseHello(accept[:]); err != nil || v != 3 {
-		t.Fatalf("negotiated v%d err %v, want v3", v, err)
-	}
-	frame, err := wire.AppendDeltaRequest(nil, &wire.DeltaRequest{ID: 1, Session: 1, Add: [][2]int{{0, 8}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	if b, _ := io.ReadAll(conn); len(b) != 0 {
-		t.Fatalf("server answered %x to a v4 frame on a v3 session", b)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Snapshot().Counters["cst_serve_wire_protocol_errors_total"] < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("protocol error never counted")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"time"
 
@@ -46,6 +48,12 @@ type ScheduleDeltaRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
+// maxBodyBytes bounds a request body: room for a pretty-printed set of
+// DefaultMaxPlanComms communications with large PE indices. A longer body
+// is answered 413 before it is decoded, so no set beyond the planner's cap
+// is ever built in memory.
+const maxBodyBytes = DefaultMaxPlanComms * 128
+
 // Handler mounts the scheduling API next to the observability surface on
 // one mux: POST /schedule, POST /schedule-set, POST /schedule-delta and
 // GET /statusz from this package, plus /metrics, /healthz, /trace,
@@ -53,104 +61,27 @@ type ScheduleDeltaRequest struct {
 // both traffic and introspection. pl may be nil, in which case
 // /schedule-set answers 501.
 //
-// Both POST endpoints participate in span tracing: an X-CST-Trace request
+// The POST endpoints participate in span tracing: an X-CST-Trace request
 // header continues the caller's trace, head sampling opens a fresh one, and
 // errored requests are recorded retroactively even when unsampled. Sampled
 // responses echo X-CST-Trace and carry trace_id in the body.
 func Handler(p *Pool, pl *Planner, reg *obs.Registry, tr *obs.Tracer) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", obs.Handler(reg, tr))
-	mux.HandleFunc("/schedule", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		start := time.Now()
-		remote, _ := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
-		sp := tr.StartServer("http.schedule", "serve", remote)
-		var req ScheduleRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			finishHTTPError(w, tr, &sp, "http.schedule", start,
-				http.StatusBadRequest, "bad JSON: "+err.Error())
-			return
-		}
-		res := p.ScheduleTraced(req.Src, req.Dst, time.Duration(req.DeadlineMS)*time.Millisecond, sp.Context())
-		sctx := sp.Context()
-		if !sp.Sampled() && (res.Status >= 400 || res.Err != "") {
-			sctx = tr.EmitErrorRoot("http.schedule", "serve", start, res.Status, res.Err)
-		}
-		writeTraced(w, tr, sctx, res.Status, &res, &res.TraceID)
-		sp.SetStatus(res.Status)
-		sp.SetError(res.Err)
-		sp.End()
-	})
-	mux.HandleFunc("/schedule-set", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		if pl == nil {
-			http.Error(w, "set planning not enabled", http.StatusNotImplemented)
-			return
-		}
-		start := time.Now()
-		remote, _ := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
-		sp := tr.StartServer("http.plan", "serve", remote)
-		var req ScheduleSetRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			finishHTTPError(w, tr, &sp, "http.plan", start,
-				http.StatusBadRequest, "bad JSON: "+err.Error())
-			return
-		}
-		s := &comm.Set{N: req.N, Comms: make([]comm.Comm, len(req.Comms))}
-		for i, c := range req.Comms {
-			s.Comms[i] = comm.Comm{Src: c.Src, Dst: c.Dst}
-		}
-		res := pl.PlanTraced(s, protoHTTP, true, sp.Context())
-		sctx := sp.Context()
-		if !sp.Sampled() && (res.Status >= 400 || res.Err != "") {
-			sctx = tr.EmitErrorRoot("http.plan", "serve", start, res.Status, res.Err)
-		}
-		writeTraced(w, tr, sctx, res.Status, &res, &res.TraceID)
-		sp.SetStatus(res.Status)
-		sp.SetN(s.Len())
-		sp.SetError(res.Err)
-		sp.End()
-	})
-	mux.HandleFunc("/schedule-delta", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		start := time.Now()
-		remote, _ := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
-		sp := tr.StartServer("http.delta", "serve", remote)
-		var req ScheduleDeltaRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			finishHTTPError(w, tr, &sp, "http.delta", start,
-				http.StatusBadRequest, "bad JSON: "+err.Error())
-			return
-		}
-		remove := make([]comm.Comm, len(req.Remove))
-		for i, c := range req.Remove {
-			remove[i] = comm.Comm{Src: c.Src, Dst: c.Dst}
-		}
-		add := make([]comm.Comm, len(req.Add))
-		for i, c := range req.Add {
-			add[i] = comm.Comm{Src: c.Src, Dst: c.Dst}
-		}
-		res := p.ScheduleDeltaTraced(req.Session, remove, add,
-			time.Duration(req.DeadlineMS)*time.Millisecond, sp.Context())
-		sctx := sp.Context()
-		if !sp.Sampled() && (res.Status >= 400 || res.Err != "") {
-			sctx = tr.EmitErrorRoot("http.delta", "serve", start, res.Status, res.Err)
-		}
-		writeTraced(w, tr, sctx, res.Status, &res, &res.TraceID)
-		sp.SetStatus(res.Status)
-		sp.SetN(res.Rounds)
-		sp.SetError(res.Err)
-		sp.End()
-	})
+	mux.HandleFunc("/schedule", route(tr, "http.schedule", func(req *ScheduleRequest, sctx obs.SpanContext) (answer, int) {
+		res := p.schedule(req.Src, req.Dst, time.Duration(req.DeadlineMS)*time.Millisecond, sctx)
+		return &res, 0
+	}))
+	mux.HandleFunc("/schedule-set", route(tr, "http.plan", func(req *ScheduleSetRequest, sctx obs.SpanContext) (answer, int) {
+		s := &comm.Set{N: req.N, Comms: comms(req.Comms)}
+		res := pl.plan(s, protoHTTP, true, sctx)
+		return &res, s.Len()
+	}))
+	mux.HandleFunc("/schedule-delta", route(tr, "http.delta", func(req *ScheduleDeltaRequest, sctx obs.SpanContext) (answer, int) {
+		res := p.scheduleDelta(req.Session, comms(req.Remove), comms(req.Add),
+			time.Duration(req.DeadlineMS)*time.Millisecond, sctx)
+		return &res, res.Rounds
+	}))
 	mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(p.Snapshot())
@@ -158,35 +89,67 @@ func Handler(p *Pool, pl *Planner, reg *obs.Registry, tr *obs.Tracer) http.Handl
 	return mux
 }
 
-// writeTraced writes one JSON response body, stamping the trace id into the
-// body (via traceID, a pointer into body) and the X-CST-Trace response
-// header when the request is traced, and recording the encode as a
-// "response.write" child span when sampled.
-func writeTraced(w http.ResponseWriter, tr *obs.Tracer, sctx obs.SpanContext, status int, body any, traceID *string) {
-	if sctx.Valid() {
-		*traceID = sctx.Trace.String()
-		w.Header().Set(obs.TraceHeader, obs.FormatTraceHeader(sctx))
+// comms converts JSON pairs to communications.
+func comms(in []SetComm) []comm.Comm {
+	out := make([]comm.Comm, len(in))
+	for i, c := range in {
+		out[i] = comm.Comm{Src: c.Src, Dst: c.Dst}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	wsp := tr.StartSpan(sctx, "response.write", "serve")
-	_ = json.NewEncoder(w).Encode(body)
-	wsp.End()
+	return out
 }
 
-// finishHTTPError answers a pre-admission failure (malformed payload),
-// closing the root span — or retroactively recording one — so the error is
-// attributable at any sample rate.
-func finishHTTPError(w http.ResponseWriter, tr *obs.Tracer, sp *obs.Span, name string, start time.Time, status int, msg string) {
-	sctx := sp.Context()
-	if !sp.Sampled() {
-		sctx = tr.EmitErrorRoot(name, "serve", start, status, msg)
+// route builds one POST endpoint around serve, which runs a decoded
+// request of type T and returns its answer plus the root span's N. route
+// owns everything the three endpoints share: the method check, the
+// X-CST-Trace continuation and the root span named name, the bounded JSON
+// decode (malformed: 400, oversized: 413, both as plain text), retroactive
+// sampling of every error, the JSON answer with its trace id, and closing
+// the root span.
+func route[T any](tr *obs.Tracer, name string, serve func(req *T, sctx obs.SpanContext) (answer, int)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+			return
+		}
+		start := time.Now()
+		remote, _ := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
+		sp := tr.StartServer(name, "serve", remote)
+		var req T
+		var ans answer
+		var status, n int
+		var errmsg string
+		var tooLarge *http.MaxBytesError
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); errors.As(err, &tooLarge) {
+			status, errmsg = http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)
+		} else if err != nil {
+			status, errmsg = http.StatusBadRequest, "bad JSON: "+err.Error()
+		} else {
+			ans, n = serve(&req, sp.Context())
+			status, errmsg, _ = ans.outcome()
+		}
+		sctx := sp.Context()
+		if !sp.Sampled() && (status >= 400 || errmsg != "") {
+			sctx = tr.EmitErrorRoot(name, "serve", start, status, errmsg)
+		}
+		if sctx.Valid() {
+			w.Header().Set(obs.TraceHeader, obs.FormatTraceHeader(sctx))
+		}
+		if ans == nil {
+			http.Error(w, errmsg, status)
+		} else {
+			if sctx.Valid() {
+				_, _, traceID := ans.outcome()
+				*traceID = sctx.Trace.String()
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(status)
+			wsp := tr.StartSpan(sctx, "response.write", "serve")
+			_ = json.NewEncoder(w).Encode(ans)
+			wsp.End()
+		}
+		sp.SetStatus(status)
+		sp.SetN(n)
+		sp.SetError(errmsg)
+		sp.End()
 	}
-	if sctx.Valid() {
-		w.Header().Set(obs.TraceHeader, obs.FormatTraceHeader(sctx))
-	}
-	http.Error(w, msg, status)
-	sp.SetStatus(status)
-	sp.SetError(msg)
-	sp.End()
 }

@@ -12,6 +12,8 @@
 package serve
 
 import (
+	"errors"
+	"net/http"
 	"sync"
 	"time"
 
@@ -23,10 +25,12 @@ import (
 )
 
 // DefaultMaxPlanComms bounds the communications accepted in one set plan
-// when PlannerConfig leaves MaxComms zero. The wire protocol enforces a
-// similar bound structurally (a set request must fit one frame); this is
-// the HTTP-side equivalent.
+// (413 beyond it). The wire protocol enforces a similar bound structurally
+// (a set request must fit one frame).
 const DefaultMaxPlanComms = 1024
+
+// errNoPlanner answers set requests on a service built without a planner.
+var errNoPlanner = errors.New("serve: set planning not enabled")
 
 // PlannerConfig parameterizes a Planner.
 type PlannerConfig struct {
@@ -36,9 +40,6 @@ type PlannerConfig struct {
 	// MaxBatches bounds the well-nested batches peeled per orientation;
 	// <= 0 uses hybrid.DefaultMaxBatches.
 	MaxBatches int
-	// MaxComms bounds the size of one planned set; <= 0 uses
-	// DefaultMaxPlanComms.
-	MaxComms int
 	// Registry receives the cst_hybrid_* series; nil leaves the planner
 	// uninstrumented.
 	Registry *obs.Registry
@@ -120,6 +121,8 @@ type SetResult struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
+func (r *SetResult) outcome() (int, string, *string) { return r.Status, r.Err, &r.TraceID }
+
 // Planner plans whole communication sets through the hybrid pipeline.
 // Construct with NewPlanner; Plan is safe for concurrent use.
 type Planner struct {
@@ -132,9 +135,6 @@ type Planner struct {
 
 // NewPlanner builds a set planner.
 func NewPlanner(cfg PlannerConfig) *Planner {
-	if cfg.MaxComms <= 0 {
-		cfg.MaxComms = DefaultMaxPlanComms
-	}
 	return &Planner{
 		cfg:   cfg,
 		met:   newPlannerMetrics(cfg.Registry),
@@ -147,14 +147,17 @@ func NewPlanner(cfg PlannerConfig) *Planner {
 // asks for the full round-by-round schedule in the result (the wire path
 // declines, so pooled connection slots never retain schedules).
 func (p *Planner) Plan(s *comm.Set, proto uint8, includeRounds bool) SetResult {
-	return p.PlanTraced(s, proto, includeRounds, obs.SpanContext{})
+	return p.plan(s, proto, includeRounds, obs.SpanContext{})
 }
 
-// PlanTraced is Plan attributed to a request trace: when sctx is sampled, a
+// plan is Plan attributed to a request trace: when sctx is sampled, a
 // "serve.plan" span covering the whole call is emitted, and the hybrid
-// pipeline stages become its children. A zero sctx behaves exactly like
-// Plan.
-func (p *Planner) PlanTraced(s *comm.Set, proto uint8, includeRounds bool, sctx obs.SpanContext) SetResult {
+// pipeline stages become its children. Both transports plan through here,
+// so a nil planner answers 501 the same way on each.
+func (p *Planner) plan(s *comm.Set, proto uint8, includeRounds bool, sctx obs.SpanContext) SetResult {
+	if p == nil {
+		return SetResult{Status: http.StatusNotImplemented, Err: errNoPlanner.Error()}
+	}
 	start := time.Now()
 	var planCtx obs.SpanContext
 	if p.cfg.Tracer != nil && sctx.Valid() {
@@ -162,7 +165,7 @@ func (p *Planner) PlanTraced(s *comm.Set, proto uint8, includeRounds bool, sctx 
 		// parent under it even though spans are emitted at end time.
 		planCtx = obs.SpanContext{Trace: sctx.Trace, Span: p.cfg.Tracer.NewSpanID(), Sampled: true}
 	}
-	res := p.plan(s, proto, includeRounds, planCtx)
+	res := p.build(s, proto, includeRounds, planCtx)
 	if planCtx.Valid() {
 		p.cfg.Tracer.EmitSpan(obs.SpanRecord{
 			Trace: planCtx.Trace, Span: planCtx.Span, Parent: sctx.Span,
@@ -174,13 +177,14 @@ func (p *Planner) PlanTraced(s *comm.Set, proto uint8, includeRounds bool, sctx 
 	return res
 }
 
-func (p *Planner) plan(s *comm.Set, proto uint8, includeRounds bool, planCtx obs.SpanContext) SetResult {
+// build validates and plans one set; planCtx parents the hybrid stage spans.
+func (p *Planner) build(s *comm.Set, proto uint8, includeRounds bool, planCtx obs.SpanContext) SetResult {
 	start := time.Now()
 	p.met.requests.Inc()
 	if int(proto) < protoCount {
 		p.met.proto[proto].requests.Inc()
 	}
-	if s.Len() > p.cfg.MaxComms {
+	if s.Len() > DefaultMaxPlanComms {
 		p.met.failed.Inc()
 		return SetResult{Status: 413, Err: "serve: set too large"}
 	}

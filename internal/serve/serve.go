@@ -127,6 +127,14 @@ type Result struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
+// answer is what every request kind's result offers the transports: its
+// status, its error text and the slot the trace id is written into.
+type answer interface {
+	outcome() (status int, err string, traceID *string)
+}
+
+func (r *Result) outcome() (int, string, *string) { return r.Status, r.Err, &r.TraceID }
+
 // Protocol indices for per-protocol metric attribution. Every call is
 // tagged with the protocol that admitted it.
 const (
@@ -138,21 +146,20 @@ const (
 // protoNames are the label values on the per-protocol cst_serve_* series.
 var protoNames = [protoCount]string{protoHTTP: "http", protoWire: "wire"}
 
-// call is one in-flight request: the admission payload plus its completion
-// path. The HTTP path blocks on resp (buffered so the worker's settle
-// never blocks on a slow client); the wire path sets done instead, and
-// settle invokes it on the worker goroutine — the callback must hand off
-// (a channel send to the connection's writer) rather than do work. Wire
-// calls are embedded in per-connection slots and reused, which is what
-// keeps that path allocation-free.
+// call is one in-flight pair or delta request: the admission payload, the
+// answer the worker fills in (res for a pair, delta.res for a delta) and
+// the completion callback. settle invokes done on the worker goroutine
+// once the answer is in, so the callback must hand off (a channel send)
+// rather than do work. Wire calls are embedded in per-connection slots and
+// reused, which is what keeps that path allocation-free.
 type call struct {
 	src, dst int
 	id       uint64 // wire request id, echoed in the response frame
 	proto    uint8
 	deadline time.Time
 	enq      time.Time
-	resp     chan Result
-	done     func(Result)
+	res      Result
+	done     func(*call)
 	// sctx is the request's span context (zero when unsampled); waveT is
 	// when the call's submission wave started, the serve.dispatch span's
 	// start. Both are plain values on the pooled call — the unsampled wire
@@ -164,18 +171,35 @@ type call struct {
 	delta *serveDelta
 }
 
-// arm readies a call for admission. deadline <= 0 leaves the zero
-// deadline (admit applies the pool default).
-func (c *call) arm(src, dst int, deadline time.Duration) {
-	c.src, c.dst = src, dst
+// arm readies a call for admission: a pair call has a nil sd. deadline
+// <= 0 leaves the zero deadline (admit applies the pool default).
+func (c *call) arm(src, dst int, sd *serveDelta, deadline time.Duration) {
+	c.src, c.dst, c.delta = src, dst, sd
 	c.enq = time.Now()
 	c.deadline = time.Time{}
 	c.sctx = obs.SpanContext{}
 	c.waveT = time.Time{}
-	c.delta = nil
 	if deadline > 0 {
 		c.deadline = c.enq.Add(deadline)
 	}
+}
+
+// answer returns the call's answer: the delta's for a delta call, the
+// pair Result otherwise.
+func (c *call) answer() answer {
+	if c.delta != nil {
+		return &c.delta.res
+	}
+	return &c.res
+}
+
+// fail records a failed answer; settle stamps the pair fields afterwards.
+func (c *call) fail(status int, err string) {
+	if sd := c.delta; sd != nil {
+		sd.res = DeltaResult{Session: sd.session, Status: status, Err: err}
+		return
+	}
+	c.res = Result{Src: c.src, Dst: c.dst, Shard: -1, Status: status, Err: err}
 }
 
 // poolMetrics holds the cst_serve_* handles; the zero value (nil registry)
@@ -342,37 +366,47 @@ func (p *Pool) Start() {
 // admission (queue full, draining, bad endpoints — these return without
 // blocking). Safe for arbitrary concurrent callers.
 func (p *Pool) Schedule(src, dst int, deadline time.Duration) Result {
-	return p.ScheduleTraced(src, dst, deadline, obs.SpanContext{})
+	return p.schedule(src, dst, deadline, obs.SpanContext{})
 }
 
-// ScheduleTraced is Schedule carrying a span context: when sctx is sampled
-// the pool emits serve.queue and serve.dispatch child spans for the
-// request's path through the admission queue and its shard's dispatch
-// wave. A zero sctx behaves exactly like Schedule.
-func (p *Pool) ScheduleTraced(src, dst int, deadline time.Duration, sctx obs.SpanContext) Result {
-	c := &call{proto: protoHTTP, resp: make(chan Result, 1)}
-	c.arm(src, dst, deadline)
+// schedule is Schedule carrying a span context: when sctx is sampled the
+// pool emits serve.queue and serve.dispatch child spans for the request's
+// path through the admission queue and its shard's dispatch wave.
+func (p *Pool) schedule(src, dst int, deadline time.Duration, sctx obs.SpanContext) Result {
+	c := &call{proto: protoHTTP}
+	c.arm(src, dst, nil, deadline)
 	c.sctx = sctx
-	if res, ok := p.admit(c); !ok {
-		return res
-	}
-	return <-c.resp
+	p.await(c)
+	return c.res
 }
 
-// admit validates and enqueues one armed call. A false return means the
-// request was refused inline and the Result is terminal (bad endpoints,
-// draining, queue full) — such refusals never touch the admitted ledger.
-// A true return means the call is in a shard's queue and its terminal
-// Result will arrive through c.resp or c.done. The wire path calls this
-// directly with pooled calls; allocation-free on admission.
-func (p *Pool) admit(c *call) (Result, bool) {
+// await admits c and blocks until its answer is in: the synchronous path
+// behind Schedule and ScheduleDelta.
+func (p *Pool) await(c *call) {
+	ready := make(chan struct{}, 1)
+	c.done = func(*call) { ready <- struct{}{} }
+	if p.admit(c) {
+		<-ready
+	}
+}
+
+// admit validates and enqueues one armed pair or delta call. A false
+// return means the request was refused inline (bad endpoints, draining,
+// queue full): its answer is already in the call and the refusal never
+// touched the admitted ledger. A true return means the call is in a
+// shard's queue and settle will invoke c.done. Pairs go round-robin to any
+// shard with room; a delta goes only to its session's pinned shard
+// (session % shards), because the session's warm engine lives on exactly
+// that worker, so a full pinned queue is backpressure, not spillover.
+// Allocation-free on admission.
+func (p *Pool) admit(c *call) bool {
 	p.met.requests.Inc()
 	p.met.proto[c.proto].requests.Inc()
 	src, dst := c.src, c.dst
-	if src < 0 || src >= p.cfg.PEs || dst < 0 || dst >= p.cfg.PEs || src == dst {
+	if c.delta == nil && (src < 0 || src >= p.cfg.PEs || dst < 0 || dst >= p.cfg.PEs || src == dst) {
 		p.met.badRequest.Inc()
-		return Result{Src: src, Dst: dst, Shard: -1, Status: http.StatusBadRequest,
-			Err: fmt.Sprintf("serve: bad endpoints (%d -> %d) on a %d-PE fabric", src, dst, p.cfg.PEs)}, false
+		c.fail(http.StatusBadRequest, fmt.Sprintf("serve: bad endpoints (%d -> %d) on a %d-PE fabric", src, dst, p.cfg.PEs))
+		return false
 	}
 	if c.deadline.IsZero() && p.cfg.DefaultDeadline > 0 {
 		c.deadline = c.enq.Add(p.cfg.DefaultDeadline)
@@ -382,14 +416,20 @@ func (p *Pool) admit(c *call) (Result, bool) {
 	if p.draining {
 		p.admission.RUnlock()
 		p.met.unavailable.Inc()
-		return Result{Src: src, Dst: dst, Shard: -1, Status: http.StatusServiceUnavailable, Err: ErrDraining.Error()}, false
+		c.fail(http.StatusServiceUnavailable, ErrDraining.Error())
+		return false
 	}
-	// Round-robin with fallback: try every shard once, non-blocking. A
-	// request only lands where there is room; if nowhere has room, that is
-	// the backpressure signal.
+	// Try each candidate shard once, non-blocking: a request only lands
+	// where there is room; if nowhere has room, that is the backpressure
+	// signal.
 	enqueued := false
-	start := int(p.next.Add(1))
-	for i := 0; i < len(p.workers) && !enqueued; i++ {
+	var start, tries int
+	if c.delta != nil {
+		start, tries = int(c.delta.session%uint64(len(p.workers))), 1
+	} else {
+		start, tries = int(p.next.Add(1)), len(p.workers)
+	}
+	for i := 0; i < tries && !enqueued; i++ {
 		w := p.workers[(start+i)%len(p.workers)]
 		select {
 		case w.ch <- c:
@@ -405,9 +445,9 @@ func (p *Pool) admit(c *call) (Result, bool) {
 	p.admission.RUnlock()
 	if !enqueued {
 		p.met.rejected.Inc()
-		return Result{Src: src, Dst: dst, Shard: -1, Status: http.StatusTooManyRequests, Err: ErrQueueFull.Error()}, false
+		c.fail(http.StatusTooManyRequests, ErrQueueFull.Error())
 	}
-	return Result{}, true
+	return enqueued
 }
 
 // Drain gracefully shuts the pool down: admission stops (new requests get
@@ -602,10 +642,8 @@ func (w *worker) expire(batch []*call) []*call {
 	kept := batch[:0]
 	for _, c := range batch {
 		if !c.deadline.IsZero() && !now.Before(c.deadline) {
-			w.pool.met.deadline.Inc()
 			w.pool.met.queueDepth.Add(-1)
-			w.settle(c, Result{Status: http.StatusGatewayTimeout,
-				Err: fmt.Sprintf("serve: %v before dispatch", fault.ErrDeadline)})
+			w.expired(c, "dispatch")
 			continue
 		}
 		kept = append(kept, c)
@@ -670,12 +708,7 @@ func (w *worker) flush(batch []*call) {
 		now := time.Now()
 		for _, c := range pending {
 			if !c.deadline.IsZero() && now.After(c.deadline) {
-				// The per-request deadline reuses the fault taxonomy: the
-				// watchdog's ErrDeadline is what a stalled fabric would
-				// have reported.
-				met.deadline.Inc()
-				w.settle(c, Result{Status: http.StatusGatewayTimeout,
-					Err: fmt.Sprintf("serve: %v before dispatch", fault.ErrDeadline)})
+				w.expired(c, "dispatch")
 				continue
 			}
 			// Endpoints validated at admission, queue idle between waves:
@@ -707,7 +740,8 @@ func (w *worker) flush(batch []*call) {
 			// per the online drain invariants). Fail the stragglers
 			// rather than spin.
 			for _, c := range deferred {
-				w.settle(c, Result{Status: http.StatusInternalServerError, Err: errUnschedulable.Error()})
+				c.fail(http.StatusInternalServerError, errUnschedulable.Error())
+				w.settle(c)
 			}
 			return
 		}
@@ -746,13 +780,14 @@ func (w *worker) settleRecords() {
 		delete(w.wait, key)
 		met.scheduled.Inc()
 		met.proto[c.proto].scheduled.Inc()
-		w.settle(c, Result{
+		c.res = Result{
 			Status:        http.StatusOK,
 			Arrival:       rec.Arrival,
 			Dispatched:    rec.Dispatched,
 			Finished:      rec.Finished,
 			LatencyRounds: rec.Finished - rec.Arrival,
-		})
+		}
+		w.settle(c)
 	}
 	for _, rec := range w.sim.TakeQuarantined() {
 		key := [2]int{rec.Comm.Src, rec.Comm.Dst}
@@ -762,48 +797,62 @@ func (w *worker) settleRecords() {
 		}
 		delete(w.wait, key)
 		met.quarantined.Inc()
-		w.settle(c, Result{Status: http.StatusInternalServerError,
-			Err: "serve: batch quarantined after exhausting dispatch attempts"})
+		c.fail(http.StatusInternalServerError, "serve: batch quarantined after exhausting dispatch attempts")
+		w.settle(c)
 	}
 }
 
-// settle delivers the terminal result for one admitted call. Every
-// admitted call is settled exactly once. HTTP calls get a send on their
-// buffered response channel (a departed client cannot block the worker);
-// wire calls get their done callback, which hands the pooled call to its
-// connection's writer goroutine.
-func (w *worker) settle(c *call, res Result) {
-	res.Src, res.Dst, res.Shard = c.src, c.dst, w.id
-	w.pool.responded.Add(1)
-	w.pool.met.inflight.Add(-1)
+// expired settles a call whose deadline passed before the worker reached
+// stage ("dispatch" or "apply"). The per-request deadline reuses the fault
+// taxonomy: the watchdog's ErrDeadline is what a stalled fabric would have
+// reported.
+func (w *worker) expired(c *call, stage string) {
+	w.pool.met.deadline.Inc()
+	c.fail(http.StatusGatewayTimeout, fmt.Sprintf("serve: %v before %s", fault.ErrDeadline, stage))
+	w.settle(c)
+}
+
+// settle delivers the terminal answer for one admitted call, already in
+// the call: every admitted call is settled exactly once. It closes the
+// ledger entry, observes the latency, emits the call's serve.dispatch (or,
+// for a delta, serve.delta) span when sampled, and invokes done — for HTTP
+// a wake-up of the blocked handler, for wire a hand-off of the pooled call
+// to its connection's writer goroutine.
+func (w *worker) settle(c *call) {
+	p := w.pool
+	name, n := "serve.dispatch", c.res.LatencyRounds
+	if c.delta != nil {
+		name, n = "serve.delta", c.delta.res.Rounds
+	} else {
+		c.res.Src, c.res.Dst, c.res.Shard = c.src, c.dst, w.id
+	}
+	p.responded.Add(1)
+	p.met.inflight.Add(-1)
 	lat := time.Since(c.enq)
 	var trace obs.TraceID
 	if c.sctx.Valid() {
 		trace = c.sctx.Trace
 	}
-	w.pool.met.latency.ObserveDuration(lat)
-	w.pool.met.latencyQ.ObserveTraced(lat.Seconds(), trace)
-	pm := &w.pool.met.proto[c.proto]
+	p.met.latency.ObserveDuration(lat)
+	p.met.latencyQ.ObserveTraced(lat.Seconds(), trace)
+	pm := &p.met.proto[c.proto]
 	pm.latency.ObserveDuration(lat)
 	pm.latencyQ.ObserveTraced(lat.Seconds(), trace)
-	if w.pool.tracer != nil && c.sctx.Valid() {
-		tr := w.pool.tracer
+	if p.tracer != nil && c.sctx.Valid() {
+		tr := p.tracer
+		status, errmsg, _ := c.answer().outcome()
 		start := c.waveT
 		if start.IsZero() {
-			start = c.enq // settled before ever reaching a wave (deadline miss)
+			start = c.enq // a delta, or settled before ever reaching a wave
 		}
 		tr.EmitSpan(obs.SpanRecord{
 			Trace: c.sctx.Trace, Span: tr.NewSpanID(), Parent: c.sctx.Span,
-			Name: "serve.dispatch", Engine: "serve",
+			Name: name, Engine: "serve",
 			Start: start, End: time.Now(),
-			Status: res.Status, N: res.LatencyRounds, Err: res.Err,
+			Status: status, N: n, Err: errmsg,
 		})
 		tr.Emit(obs.Event{Type: "serve.done", Engine: "serve",
-			Round: w.sim.Now(), N: res.Status})
+			Round: w.sim.Now(), N: status})
 	}
-	if c.done != nil {
-		c.done(res)
-		return
-	}
-	c.resp <- res
+	c.done(c)
 }

@@ -99,15 +99,12 @@ func TestSpanTreeEndToEnd(t *testing.T) {
 		t.Error("set result carries no trace_id at sampling 1.0")
 	}
 
-	// Wire protocol v3: one pair and one set on a single connection.
+	// Wire protocol: one pair and one set on a single connection.
 	c, err := wire.Dial(addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if v := c.ProtocolVersion(); v < wire.VersionTrace {
-		t.Fatalf("negotiated v%d, want >= v%d for trace propagation", v, wire.VersionTrace)
-	}
 	if err := c.Send(&wire.Request{ID: 1, Src: 2, Dst: 9}); err != nil {
 		t.Fatal(err)
 	}

@@ -58,8 +58,8 @@ type WireConfig struct {
 	// drain. It is also the slot count, so memory per connection is
 	// proportional. Zero means DefaultMaxPipeline.
 	MaxPipeline int
-	// Planner answers set requests (TypeSetRequest frames, v2+). Nil
-	// makes the server answer them with status 501.
+	// Planner answers set requests (TypeSetRequest frames). Nil makes the
+	// server answer them with status 501.
 	Planner *Planner
 	// Registry receives the cst_serve_wire_* series; nil leaves the
 	// server uninstrumented.
@@ -117,29 +117,42 @@ func NewWireServer(p *Pool, cfg WireConfig) *WireServer {
 	return s
 }
 
-// wireCall is one connection slot: a pooled call plus the spot its
-// terminal Result lands in. The call's done closure is built once per
-// slot and survives bundle reuse. Set requests reuse the same slots for
-// ordering and backpressure: isSet routes the writer to setRes instead of
-// res, and is cleared when the slot is leased for a pair request.
+// Slot kinds: which request a wireCall carries.
+const (
+	kindPair = iota
+	kindSet
+	kindDelta
+)
+
+// wireRoots are the root span names per slot kind.
+var wireRoots = [...]string{kindPair: "wire.schedule", kindSet: "wire.plan", kindDelta: "wire.delta"}
+
+// wireCall is one connection slot: a pooled call whose done closure is
+// built once per slot and survives bundle reuse. Set and delta requests
+// reuse the same slots for ordering and backpressure; kind routes the
+// writer to the matching answer.
 type wireCall struct {
 	c      call
-	res    Result
-	isSet  bool
+	kind   uint8
 	setRes SetResult
-	// Delta requests (v4) also ride the slots. Unlike pair requests, the
-	// decode scratch is slot-owned, not connection-owned: the mutation
-	// pair slices stay live until the shard worker applies them, which
-	// may be after the reader has moved on to the next frame.
-	isDelta  bool
-	dreq     wire.DeltaRequest
-	delta    serveDelta
-	deltaRes DeltaResult
-	// sp is the request's root span ("wire.schedule" / "wire.plan" /
-	// "wire.delta"), opened by the reader and closed by the writer after
-	// the response frame is written. It is a value embedded in the pooled
-	// slot, so the unsampled path stays allocation-free.
+	// The delta decode scratch is slot-owned, not connection-owned: the
+	// mutation pair slices stay live until the shard worker applies them,
+	// which may be after the reader has moved on to the next frame.
+	dreq  wire.DeltaRequest
+	delta serveDelta
+	// sp is the request's root span (wireRoots[kind]), opened by the
+	// reader and closed by the writer after the response frame is written.
+	// It is a value embedded in the pooled slot, so the unsampled path
+	// stays allocation-free.
 	sp obs.Span
+}
+
+// answer returns the slot's answer for the writer.
+func (wc *wireCall) answer() answer {
+	if wc.kind == kindSet {
+		return &wc.setRes
+	}
+	return wc.c.answer()
 }
 
 // connBundle is the per-connection working set, pooled across
@@ -149,19 +162,15 @@ type wireCall struct {
 // sentinel the reader uses to stop the writer, which keeps the channels
 // reusable (a closed channel could not go back in the pool).
 type connBundle struct {
-	version byte // negotiated session version, set per connection
-	slots   []*wireCall
-	free    chan *wireCall
-	out     chan *wireCall
-	rd      *wire.Reader
-	bw      *bufio.Writer
-	req     wire.Request     // reader-owned decode scratch
-	setReq  wire.SetRequest  // reader-owned set decode scratch
-	set     comm.Set         // reader-owned set build scratch
-	resp      wire.Response      // writer-owned encode scratch
-	setResp   wire.SetResponse   // writer-owned set encode scratch
-	deltaResp wire.DeltaResponse // writer-owned delta encode scratch
-	enc       []byte             // writer-owned frame scratch
+	slots  []*wireCall
+	free   chan *wireCall
+	out    chan *wireCall
+	rd     *wire.Reader
+	bw     *bufio.Writer
+	req    wire.Request    // reader-owned decode scratch
+	setReq wire.SetRequest // reader-owned set decode scratch
+	set    comm.Set        // reader-owned set build scratch
+	enc    []byte          // writer-owned frame scratch
 }
 
 func (s *WireServer) newBundle() *connBundle {
@@ -177,14 +186,7 @@ func (s *WireServer) newBundle() *connBundle {
 		wc := &wireCall{}
 		wc.c.proto = protoWire
 		out := b.out
-		wc.c.done = func(res Result) {
-			wc.res = res
-			out <- wc
-		}
-		wc.delta.done = func(res DeltaResult) {
-			wc.deltaRes = res
-			out <- wc
-		}
+		wc.c.done = func(*call) { out <- wc }
 		b.slots[i] = wc
 		b.free <- wc
 	}
@@ -272,25 +274,26 @@ func (s *WireServer) untrack(conn net.Conn) {
 }
 
 // handshake reads the client hello straight off the raw connection (the
-// framed reader attaches after, so nothing is over-read), answers with the
-// negotiated version and returns it — the session's frame allow-list
-// depends on it.
-func (s *WireServer) handshake(conn net.Conn) (byte, error) {
+// framed reader attaches after, so nothing is over-read) and answers with
+// the one protocol version. A hello offering any other version still gets
+// that answer, so the client can tell why, and then fails the handshake.
+func (s *WireServer) handshake(conn net.Conn) error {
 	_ = conn.SetReadDeadline(time.Now().Add(wireHandshakeTimeout))
 	var hello [wire.HandshakeBytes]byte
 	if _, err := io.ReadFull(conn, hello[:]); err != nil {
-		return 0, fmt.Errorf("handshake read: %w", err)
+		return fmt.Errorf("handshake read: %w", err)
 	}
 	offered, err := wire.ParseHello(hello[:])
 	if err != nil {
-		return 0, err
+		return err
 	}
-	version := wire.Negotiate(offered, wire.Version)
-	var accept [wire.HandshakeBytes]byte
-	if _, err := conn.Write(wire.AppendHello(accept[:0], version)); err != nil {
-		return 0, fmt.Errorf("handshake write: %w", err)
+	if _, err := conn.Write(wire.AppendHello(hello[:0], wire.Version)); err != nil {
+		return fmt.Errorf("handshake write: %w", err)
 	}
-	return version, nil
+	if offered != wire.Version {
+		return fmt.Errorf("%w: client offered v%d", wire.ErrVersion, offered)
+	}
+	return nil
 }
 
 // handle runs one connection: handshake, then the reader loop described
@@ -301,8 +304,7 @@ func (s *WireServer) handle(conn net.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
 
-	version, err := s.handshake(conn)
-	if err != nil {
+	if err := s.handshake(conn); err != nil {
 		s.met.protoErrs.Inc()
 		return
 	}
@@ -326,7 +328,6 @@ func (s *WireServer) handle(conn net.Conn) {
 
 	b := s.bundles.Get().(*connBundle)
 	defer s.bundles.Put(b)
-	b.version = version
 	b.rd.Reset(conn)
 	b.bw.Reset(conn)
 
@@ -341,107 +342,11 @@ func (s *WireServer) handle(conn net.Conn) {
 			}
 			break
 		}
-		switch {
-		case typ == wire.TypeRequest:
-			if err := wire.ParseRequestV(body, &b.req, version); err != nil {
-				s.met.protoErrs.Inc()
-				goto teardown
-			}
-			// Lease a slot; blocking here is the pipelining window — the
-			// connection stops reading until an in-flight answer frees
-			// one.
-			wc := <-b.free
-			wc.isSet, wc.isDelta = false, false
-			wc.c.arm(b.req.Src, b.req.Dst, b.req.Deadline())
-			wc.c.id = b.req.ID
-			// Open the request's root span: a v3 frame's trace block may
-			// continue (and force-sample) the client's trace; otherwise the
-			// head decision applies. Unsampled requests get the zero Span —
-			// no allocation on this path.
-			wc.sp = s.tracer.StartServer("wire.schedule", "serve", obs.SpanContext{
-				Trace:   obs.TraceID(b.req.Trace),
-				Span:    obs.SpanID(b.req.Span),
-				Sampled: b.req.Flags&wire.FlagSampled != 0,
-			})
-			wc.c.sctx = wc.sp.Context()
-			if res, ok := s.pool.admit(&wc.c); !ok {
-				// Inline refusal (bad endpoints, draining, queue full):
-				// the call never reached a worker, so route the slot to
-				// the writer directly.
-				wc.res = res
-				b.out <- wc
-			}
-		case typ == wire.TypeSetRequest && version >= wire.VersionSets:
-			if err := wire.ParseSetRequestV(body, &b.setReq, version); err != nil {
-				s.met.protoErrs.Inc()
-				goto teardown
-			}
-			// A set plan runs inline on the reader — planning is
-			// mutex-serialized CPU work, and answering in arrival order
-			// through the same slot/out machinery keeps the response
-			// stream coherent with pipelined pair requests.
-			wc := <-b.free
-			wc.isSet, wc.isDelta = true, false
-			wc.c.id = b.setReq.ID
-			wc.c.enq = time.Now()
-			wc.sp = s.tracer.StartServer("wire.plan", "serve", obs.SpanContext{
-				Trace:   obs.TraceID(b.setReq.Trace),
-				Span:    obs.SpanID(b.setReq.Span),
-				Sampled: b.setReq.Flags&wire.FlagSampled != 0,
-			})
-			b.set.N = b.setReq.N
-			b.set.Comms = b.set.Comms[:0]
-			for _, pr := range b.setReq.Pairs {
-				b.set.Comms = append(b.set.Comms, comm.Comm{Src: pr[0], Dst: pr[1]})
-			}
-			if s.cfg.Planner == nil {
-				wc.setRes = SetResult{Status: 501, Err: "serve: set planning not enabled"}
-			} else {
-				wc.setRes = s.cfg.Planner.PlanTraced(&b.set, protoWire, false, wc.sp.Context())
-			}
-			b.out <- wc
-		case typ == wire.TypeDeltaRequest && version >= wire.VersionDelta:
-			// Lease the slot BEFORE decoding: the delta decode scratch is
-			// slot-owned, because its pair slices must survive until the
-			// pinned shard worker applies the mutation.
-			wc := <-b.free
-			if err := wire.ParseDeltaRequest(body, &wc.dreq); err != nil {
-				s.met.protoErrs.Inc()
-				b.free <- wc
-				goto teardown
-			}
-			wc.isSet, wc.isDelta = false, true
-			wc.c.arm(0, 0, wc.dreq.Deadline())
-			wc.c.id = wc.dreq.ID
-			wc.sp = s.tracer.StartServer("wire.delta", "serve", obs.SpanContext{
-				Trace:   obs.TraceID(wc.dreq.Trace),
-				Span:    obs.SpanID(wc.dreq.Span),
-				Sampled: wc.dreq.Flags&wire.FlagSampled != 0,
-			})
-			wc.c.sctx = wc.sp.Context()
-			sd := &wc.delta
-			sd.session = wc.dreq.Session
-			sd.remove = sd.remove[:0]
-			for _, pr := range wc.dreq.Remove {
-				sd.remove = append(sd.remove, comm.Comm{Src: pr[0], Dst: pr[1]})
-			}
-			sd.add = sd.add[:0]
-			for _, pr := range wc.dreq.Add {
-				sd.add = append(sd.add, comm.Comm{Src: pr[0], Dst: pr[1]})
-			}
-			wc.c.delta = sd
-			if res, ok := s.pool.admitDelta(&wc.c); !ok {
-				wc.deltaRes = res
-				b.out <- wc
-			}
-		default:
-			// Unknown frame for this session's version — 0x03 on a v1
-			// session is as fatal as a type the decoder never heard of.
+		if err := s.read(b, typ, body); err != nil {
 			s.met.protoErrs.Inc()
-			goto teardown
+			break
 		}
 	}
-teardown:
 
 	// Teardown: reclaim every slot. In-flight ones come back through
 	// settle → done → writer → freelist; the pool settles every admitted
@@ -460,6 +365,93 @@ teardown:
 	}
 }
 
+// read decodes one request frame into a leased slot and starts it: pairs
+// and deltas are admitted into the pool, sets are planned inline. Leasing
+// a slot blocks when MaxPipeline requests are in flight — that is the
+// pipelining window: the connection stops reading until an answer frees
+// one. An error is a protocol violation that ends the connection.
+func (s *WireServer) read(b *connBundle, typ byte, body []byte) error {
+	switch typ {
+	case wire.TypeRequest:
+		if err := wire.ParseRequestV(body, &b.req, wire.Version); err != nil {
+			return err
+		}
+		wc := <-b.free
+		wc.kind = kindPair
+		wc.c.arm(b.req.Src, b.req.Dst, nil, b.req.Deadline())
+		wc.c.id = b.req.ID
+		s.openRoot(wc, b.req.Trace, b.req.Span, b.req.Flags)
+		s.admit(b, wc)
+	case wire.TypeSetRequest:
+		if err := wire.ParseSetRequest(body, &b.setReq); err != nil {
+			return err
+		}
+		// A set plan runs inline on the reader — planning is
+		// mutex-serialized CPU work, and answering in arrival order through
+		// the same slot/out machinery keeps the response stream coherent
+		// with pipelined pair requests.
+		wc := <-b.free
+		wc.kind = kindSet
+		wc.c.id = b.setReq.ID
+		wc.c.enq = time.Now()
+		s.openRoot(wc, b.setReq.Trace, b.setReq.Span, b.setReq.Flags)
+		b.set.N = b.setReq.N
+		b.set.Comms = appendComms(b.set.Comms[:0], b.setReq.Pairs)
+		wc.setRes = s.cfg.Planner.plan(&b.set, protoWire, false, wc.c.sctx)
+		b.out <- wc
+	case wire.TypeDeltaRequest:
+		// Lease the slot BEFORE decoding: the delta decode scratch is
+		// slot-owned (see wireCall).
+		wc := <-b.free
+		if err := wire.ParseDeltaRequest(body, &wc.dreq); err != nil {
+			b.free <- wc
+			return err
+		}
+		wc.kind = kindDelta
+		sd := &wc.delta
+		sd.session = wc.dreq.Session
+		sd.remove = appendComms(sd.remove[:0], wc.dreq.Remove)
+		sd.add = appendComms(sd.add[:0], wc.dreq.Add)
+		wc.c.arm(0, 0, sd, wc.dreq.Deadline())
+		wc.c.id = wc.dreq.ID
+		s.openRoot(wc, wc.dreq.Trace, wc.dreq.Span, wc.dreq.Flags)
+		s.admit(b, wc)
+	default:
+		return fmt.Errorf("%w: 0x%02x from a client", wire.ErrUnknownType, typ)
+	}
+	return nil
+}
+
+// openRoot opens a slot's root span from the frame's trace block: a
+// client context may continue (and force-sample) the client's trace;
+// otherwise the head decision applies. Unsampled requests get the zero
+// Span — no allocation on this path.
+func (s *WireServer) openRoot(wc *wireCall, trace, span uint64, flags uint8) {
+	wc.sp = s.tracer.StartServer(wireRoots[wc.kind], "serve", obs.SpanContext{
+		Trace:   obs.TraceID(trace),
+		Span:    obs.SpanID(span),
+		Sampled: flags&wire.FlagSampled != 0,
+	})
+	wc.c.sctx = wc.sp.Context()
+}
+
+// admit hands a slot's call to the pool. An inline refusal (bad endpoints,
+// draining, queue full) never reached a worker, so the slot goes to the
+// writer directly.
+func (s *WireServer) admit(b *connBundle, wc *wireCall) {
+	if !s.pool.admit(&wc.c) {
+		b.out <- wc
+	}
+}
+
+// appendComms converts wire pairs to communications, reusing dst.
+func appendComms(dst []comm.Comm, pairs [][2]int) []comm.Comm {
+	for _, pr := range pairs {
+		dst = append(dst, comm.Comm{Src: pr[0], Dst: pr[1]})
+	}
+	return dst
+}
+
 // writeLoop drains settled slots, encodes their response frames and
 // returns the slots to the freelist. After a write error it keeps
 // draining (slots must reach the freelist for teardown to converge) but
@@ -474,66 +466,17 @@ func (s *WireServer) writeLoop(b *connBundle, done chan<- struct{}) {
 		if wc == nil {
 			break
 		}
-		var status int
-		var errmsg, rootName string
-		switch {
-		case wc.isDelta:
-			status, errmsg, rootName = wc.deltaRes.Status, wc.deltaRes.Err, "wire.delta"
-		case wc.isSet:
-			status, errmsg, rootName = wc.setRes.Status, wc.setRes.Err, "wire.plan"
-		default:
-			status, errmsg, rootName = wc.res.Status, wc.res.Err, "wire.schedule"
-		}
+		status, errmsg, _ := wc.answer().outcome()
 		// Always-sample-on-error: a refused or failed request that was
 		// not head-sampled still gets a retroactive root span, so its
 		// trace id reaches the client and the flight recorder.
 		sctx := wc.sp.Context()
 		if !wc.sp.Sampled() && (status >= 400 || errmsg != "") {
-			sctx = s.tracer.EmitErrorRoot(rootName, "serve", wc.c.enq, status, errmsg)
+			sctx = s.tracer.EmitErrorRoot(wireRoots[wc.kind], "serve", wc.c.enq, status, errmsg)
 		}
 		if werr == nil {
 			wsp := s.tracer.StartSpan(sctx, "response.write", "serve")
-			if wc.isDelta {
-				r := &b.deltaResp
-				r.ID = wc.c.id
-				r.Session = wc.deltaRes.Session
-				r.Status = wc.deltaRes.Status
-				r.Rounds = wc.deltaRes.Rounds
-				r.Width = wc.deltaRes.Width
-				r.Size = wc.deltaRes.Size
-				r.Fallback = wc.deltaRes.Fallback
-				r.Err = wc.deltaRes.Err
-				r.Trace = uint64(sctx.Trace)
-				b.enc = wire.AppendDeltaResponse(b.enc[:0], r)
-				wc.deltaRes = DeltaResult{}
-			} else if wc.isSet {
-				r := &b.setResp
-				r.ID = wc.c.id
-				r.Status = wc.setRes.Status
-				r.Rounds = wc.setRes.Rounds
-				r.Bound = wc.setRes.Bound
-				r.Width = wc.setRes.Width
-				r.Batches = wc.setRes.Batches
-				r.Residual = wc.setRes.ResidualComms
-				r.Units = wc.setRes.Units
-				r.Strategy = strategyCode(wc.setRes.Strategy)
-				r.Err = wc.setRes.Err
-				r.Trace = uint64(sctx.Trace)
-				b.enc = wire.AppendSetResponseV(b.enc[:0], r, b.version)
-				wc.setRes = SetResult{}
-			} else {
-				r := &b.resp
-				r.ID = wc.c.id
-				r.Status = wc.res.Status
-				r.Shard = wc.res.Shard
-				r.Arrival = wc.res.Arrival
-				r.Dispatched = wc.res.Dispatched
-				r.Finished = wc.res.Finished
-				r.LatencyRounds = wc.res.LatencyRounds
-				r.Err = wc.res.Err
-				r.Trace = uint64(sctx.Trace)
-				b.enc = wire.AppendResponseV(b.enc[:0], r, b.version)
-			}
+			b.enc = encodeAnswer(b.enc[:0], wc, uint64(sctx.Trace))
 			if _, err := b.bw.Write(b.enc); err != nil {
 				werr = err
 			}
@@ -554,6 +497,52 @@ func (s *WireServer) writeLoop(b *connBundle, done chan<- struct{}) {
 	if werr == nil {
 		_ = b.bw.Flush()
 	}
+}
+
+// encodeAnswer appends the response frame for a settled slot to buf.
+func encodeAnswer(buf []byte, wc *wireCall, trace uint64) []byte {
+	switch wc.kind {
+	case kindSet:
+		r := &wc.setRes
+		return wire.AppendSetResponse(buf, &wire.SetResponse{
+			ID:       wc.c.id,
+			Status:   r.Status,
+			Rounds:   r.Rounds,
+			Bound:    r.Bound,
+			Width:    r.Width,
+			Batches:  r.Batches,
+			Residual: r.ResidualComms,
+			Units:    r.Units,
+			Strategy: strategyCode(r.Strategy),
+			Err:      r.Err,
+			Trace:    trace,
+		})
+	case kindDelta:
+		r := &wc.delta.res
+		return wire.AppendDeltaResponse(buf, &wire.DeltaResponse{
+			ID:       wc.c.id,
+			Session:  r.Session,
+			Status:   r.Status,
+			Rounds:   r.Rounds,
+			Width:    r.Width,
+			Size:     r.Size,
+			Fallback: r.Fallback,
+			Err:      r.Err,
+			Trace:    trace,
+		})
+	}
+	r := &wc.c.res
+	return wire.AppendResponseV(buf, &wire.Response{
+		ID:            wc.c.id,
+		Status:        r.Status,
+		Shard:         r.Shard,
+		Arrival:       r.Arrival,
+		Dispatched:    r.Dispatched,
+		Finished:      r.Finished,
+		LatencyRounds: r.LatencyRounds,
+		Err:           r.Err,
+		Trace:         trace,
+	}, wire.Version)
 }
 
 // isWireProtocolErr reports whether a read error is a protocol violation

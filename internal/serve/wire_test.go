@@ -57,9 +57,6 @@ func TestWireRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if v := c.ProtocolVersion(); v != wire.Version {
-		t.Fatalf("negotiated v%d, want v%d", v, wire.Version)
-	}
 	if err := c.Send(&wire.Request{ID: 7, Src: 2, Dst: 9}); err != nil {
 		t.Fatal(err)
 	}
@@ -137,50 +134,6 @@ func TestWirePipelining(t *testing.T) {
 	}
 	if st := p.Snapshot(); st.Admitted != st.Responded {
 		t.Fatalf("ledger: admitted %d responded %d", st.Admitted, st.Responded)
-	}
-}
-
-// A server must answer the negotiated minimum version: a client offering a
-// future v9 gets back the server's v1 and runs with it.
-func TestWireVersionNegotiationAgainstServer(t *testing.T) {
-	addr, _, _, teardown := startWire(t, Config{PEs: 8, Shards: 1}, WireConfig{})
-	defer teardown()
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(wire.AppendHello(nil, 9)); err != nil {
-		t.Fatal(err)
-	}
-	var accept [wire.HandshakeBytes]byte
-	if _, err := io.ReadFull(conn, accept[:]); err != nil {
-		t.Fatal(err)
-	}
-	v, err := wire.ParseHello(accept[:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != wire.Version {
-		t.Fatalf("server answered v%d to a v9 offer, want v%d", v, wire.Version)
-	}
-	// The session is usable at the negotiated version.
-	frame := wire.AppendRequestV(nil, &wire.Request{ID: 1, Src: 0, Dst: 5}, v)
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	rd := wire.NewReader(conn)
-	typ, body, err := rd.Next()
-	if err != nil || typ != wire.TypeResponse {
-		t.Fatalf("next = type %#x err %v", typ, err)
-	}
-	var resp wire.Response
-	if err := wire.ParseResponseV(body, &resp, v); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != 1 || resp.Status != http.StatusOK {
-		t.Fatalf("response = %+v", resp)
 	}
 }
 
@@ -542,49 +495,6 @@ func TestWireSetWithoutPlanner(t *testing.T) {
 	}
 }
 
-// A set frame on a session that negotiated v1 is a protocol violation:
-// the connection dies and the counter ticks.
-func TestWireSetOnV1Session(t *testing.T) {
-	reg := obs.New()
-	pl := NewPlanner(PlannerConfig{})
-	addr, _, _, teardown := startWire(t,
-		Config{PEs: 16, Shards: 1}, WireConfig{Planner: pl, Registry: reg})
-	defer teardown()
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(wire.AppendHello(nil, 1)); err != nil {
-		t.Fatal(err)
-	}
-	var accept [wire.HandshakeBytes]byte
-	if _, err := io.ReadFull(conn, accept[:]); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := wire.ParseHello(accept[:]); err != nil || v != 1 {
-		t.Fatalf("negotiated v%d err %v, want v1", v, err)
-	}
-	frame, err := wire.AppendSetRequest(nil, &wire.SetRequest{ID: 1, N: 16, Pairs: [][2]int{{0, 8}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	if b, _ := io.ReadAll(conn); len(b) != 0 {
-		t.Fatalf("server answered %x to a v2 frame on a v1 session", b)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Snapshot().Counters["cst_serve_wire_protocol_errors_total"] < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("protocol error never counted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // benchWirePool builds a started pool + wire server for benchmarks.
 func benchWirePool(b *testing.B, shards int, batchWait time.Duration) (string, func()) {
 	b.Helper()
@@ -707,16 +617,15 @@ func TestWriteLoopClosesSpansAfterWriteError(t *testing.T) {
 	tr.SetFlight(fr)
 	s := NewWireServer(nil, WireConfig{MaxPipeline: 2, Tracer: tr})
 	b := s.newBundle()
-	b.version = wire.VersionTrace
 	b.bw.Reset(brokenWriter{})
 
 	done := make(chan struct{})
 	go s.writeLoop(b, done)
 	for i := 0; i < 2; i++ {
 		wc := <-b.free
-		wc.isSet = false
+		wc.kind = kindPair
 		wc.sp = tr.StartServer("wire.schedule", "serve", obs.SpanContext{})
-		wc.res = Result{Status: 200}
+		wc.c.res = Result{Status: 200}
 		b.out <- wc // first one trips the flush error; second rides the dead path
 	}
 	b.out <- nil

@@ -908,22 +908,31 @@ func (f *Fabric) switchLoop(u topology.Node) {
 				tracer.Emit(obs.Event{Type: "word.send", Engine: "sim", Round: round,
 					Node: int(u), Child: int(rc), Word: right.String()})
 			}
+			// Count both words before either leaves: once a child holds its
+			// word, the leaves below can report and the driver may read
+			// downSent for this round, so the Add must already have landed.
+			sendL := inj == nil || !inj.WordLost(lc, round)
+			sendR := inj == nil || !inj.WordLost(rc, round)
 			sent := int64(0)
-			if inj == nil || !inj.WordLost(lc, round) {
+			if sendL {
 				if inj != nil {
 					left, _ = inj.CorruptDown(lc, round, left)
 				}
-				leftDown <- downMsg{word: left}
 				sent++
 			}
-			if inj == nil || !inj.WordLost(rc, round) {
+			if sendR {
 				if inj != nil {
 					right, _ = inj.CorruptDown(rc, round, right)
 				}
-				rightDown <- downMsg{word: right}
 				sent++
 			}
 			f.downSent.Add(sent)
+			if sendL {
+				leftDown <- downMsg{word: left}
+			}
+			if sendR {
+				rightDown <- downMsg{word: right}
+			}
 			round++
 		}
 	}

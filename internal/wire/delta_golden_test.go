@@ -3,14 +3,12 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"io"
-	"net"
 	"reflect"
 	"testing"
 	"time"
 )
 
-// TestDeltaRequestFrameGolden pins the v4 delta-request encoding byte for
+// TestDeltaRequestFrameGolden pins the delta-request encoding byte for
 // byte: the frame layout is a protocol contract, drift is a break.
 func TestDeltaRequestFrameGolden(t *testing.T) {
 	cases := []struct {
@@ -73,7 +71,7 @@ func TestDeltaRequestFrameGolden(t *testing.T) {
 	}
 }
 
-// TestDeltaResponseFrameGolden pins the v4 delta-response encoding.
+// TestDeltaResponseFrameGolden pins the delta-response encoding.
 func TestDeltaResponseFrameGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -147,14 +145,15 @@ func TestDeadlineOverflowRejected(t *testing.T) {
 	// uvarint encoding of 2^64-1: nine 0xff bytes then 0x01.
 	overflow := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
 
-	// length=14 | type=request | id=1 | src=0 | dst=1 | deadline=2^64-1
-	reqFrame := append([]byte{0x0e, 0x01, 0x01, 0x00, 0x01}, overflow...)
+	// length=17 | type=request | id=1 | src=0 | dst=1 | deadline=2^64-1 |
+	// zero trace block
+	reqFrame := append(append([]byte{0x11, 0x01, 0x01, 0x00, 0x01}, overflow...), 0x00, 0x00, 0x00)
 	typ, body, _, err := DecodeFrame(reqFrame)
 	if err != nil || typ != TypeRequest {
 		t.Fatalf("DecodeFrame: typ=%#x err=%v", typ, err)
 	}
 	var req Request
-	if err := ParseRequest(body, &req); !errors.Is(err, ErrBadFrame) {
+	if err := ParseRequestV(body, &req, Version); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("overflow deadline in request: %v, want ErrBadFrame", err)
 	}
 	if req.Deadline() < 0 {
@@ -217,30 +216,5 @@ func TestDeltaHostileCounts(t *testing.T) {
 	}
 	if err := ParseDeltaRequest(body, &req); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("oversized endpoint: %v, want ErrBadFrame", err)
-	}
-}
-
-// TestSendDeltaNeedsV4 pins the client-side version gate for delta frames.
-func TestSendDeltaNeedsV4(t *testing.T) {
-	cli, srv := net.Pipe()
-	defer srv.Close()
-	go func() {
-		hello := make([]byte, HandshakeBytes)
-		if _, err := io.ReadFull(srv, hello); err != nil {
-			return
-		}
-		srv.Write(AppendHello(nil, 3)) // a v3 server: spans but no deltas
-	}()
-	c, err := NewClientConn(cli, time.Second)
-	if err != nil {
-		t.Fatalf("NewClientConn: %v", err)
-	}
-	defer c.Close()
-	if c.ProtocolVersion() != 3 {
-		t.Fatalf("negotiated v%d, want v3", c.ProtocolVersion())
-	}
-	err = c.SendDelta(&DeltaRequest{ID: 1, Session: 1, Add: [][2]int{{0, 2}}})
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("SendDelta on v3 session: %v, want ErrVersion", err)
 	}
 }

@@ -16,10 +16,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	f.Add(AppendRequest(nil, &Request{ID: 1, Src: 3, Dst: 12}))
-	f.Add(AppendRequest(nil, &Request{ID: 300, Src: 128, Dst: 129, DeadlineMS: 250}))
-	f.Add(AppendResponse(nil, &Response{ID: 1, Status: 200, LatencyRounds: 5}))
-	f.Add(AppendResponse(nil, &Response{ID: 7, Status: 429, Shard: -1, Err: "queue full"}))
+	f.Add(AppendRequestV(nil, &Request{ID: 1, Src: 3, Dst: 12}, Version))
+	f.Add(AppendRequestV(nil, &Request{ID: 300, Src: 128, Dst: 129, DeadlineMS: 250,
+		Trace: 0xabc, Span: 1, Flags: FlagSampled}, Version))
+	f.Add(AppendResponseV(nil, &Response{ID: 1, Status: 200, LatencyRounds: 5, Trace: 9}, Version))
+	f.Add(AppendResponseV(nil, &Response{ID: 7, Status: 429, Shard: -1, Err: "queue full"}, Version))
 	if sr, err := AppendSetRequest(nil, &SetRequest{ID: 2, N: 16, Pairs: [][2]int{{0, 8}, {9, 1}}}); err == nil {
 		f.Add(sr)
 	}
@@ -37,8 +38,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0x05, 0x01, 0x01, 0x03, 0x0c}) // one byte short
 	f.Add([]byte{0x02, 0x7f, 0x00})             // unknown type
 	// request with overflowing deadline_ms (> MaxInt64 milliseconds)
-	f.Add([]byte{0x0e, 0x01, 0x01, 0x00, 0x01,
-		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Add([]byte{0x11, 0x01, 0x01, 0x00, 0x01,
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00, 0x00, 0x00})
 	// delta request with hostile nremove claim
 	f.Add([]byte{0x09, 0x05, 0x01, 0x01, 0x00, 0x80, 0x80, 0x80, 0x80, 0x08})
 
@@ -61,31 +62,31 @@ func FuzzDecodeFrame(f *testing.F) {
 		switch typ {
 		case TypeRequest:
 			var req Request
-			if perr := ParseRequest(body, &req); perr != nil {
+			if perr := ParseRequestV(body, &req, Version); perr != nil {
 				if !typed(perr) {
-					t.Fatalf("ParseRequest: untyped error %v", perr)
+					t.Fatalf("ParseRequestV: untyped error %v", perr)
 				}
 				return
 			}
-			re := AppendRequest(nil, &req)
+			re := AppendRequestV(nil, &req, Version)
 			_, rbody, _, rerr := DecodeFrame(re)
 			var back Request
-			if rerr != nil || ParseRequest(rbody, &back) != nil || back != req {
+			if rerr != nil || ParseRequestV(rbody, &back, Version) != nil || back != req {
 				t.Fatalf("request roundtrip mismatch: % x -> %+v -> % x -> %+v (%v)",
 					data[:n], req, re, back, rerr)
 			}
 		case TypeResponse:
 			var resp Response
-			if perr := ParseResponse(body, &resp); perr != nil {
+			if perr := ParseResponseV(body, &resp, Version); perr != nil {
 				if !typed(perr) {
-					t.Fatalf("ParseResponse: untyped error %v", perr)
+					t.Fatalf("ParseResponseV: untyped error %v", perr)
 				}
 				return
 			}
-			re := AppendResponse(nil, &resp)
+			re := AppendResponseV(nil, &resp, Version)
 			_, rbody, _, rerr := DecodeFrame(re)
 			var back Response
-			if rerr != nil || ParseResponse(rbody, &back) != nil || back != resp {
+			if rerr != nil || ParseResponseV(rbody, &back, Version) != nil || back != resp {
 				t.Fatalf("response roundtrip mismatch: % x -> %+v -> % x -> %+v (%v)",
 					data[:n], resp, re, back, rerr)
 			}
@@ -104,7 +105,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			_, rbody, _, rerr := DecodeFrame(re)
 			var back SetRequest
 			if rerr != nil || ParseSetRequest(rbody, &back) != nil ||
-				back.ID != req.ID || back.N != req.N || len(back.Pairs) != len(req.Pairs) {
+				back.ID != req.ID || back.N != req.N || len(back.Pairs) != len(req.Pairs) ||
+				back.Trace != req.Trace || back.Span != req.Span || back.Flags != req.Flags {
 				t.Fatalf("set request roundtrip mismatch: % x -> %+v -> % x -> %+v (%v)",
 					data[:n], req, re, back, rerr)
 			}

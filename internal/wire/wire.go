@@ -6,71 +6,55 @@
 // The design reuses the packing idiom of internal/ctrl's fixed-width
 // control words — every field has one unambiguous binary form — but packs
 // with varints instead of fixed uint32s because scheduling requests are
-// dominated by tiny integers (PE indices, request ids): a typical request
-// frame is 6 bytes against ~60 for its HTTP/JSON equivalent, before HTTP
-// headers.
+// dominated by tiny integers (PE indices, request ids): a typical pair
+// request frame is 9 bytes against ~60 for its HTTP/JSON equivalent,
+// before HTTP headers.
 //
-// Stream layout:
+// Stream layout. Each frame type has exactly one layout:
 //
 //	hello     := "CSTW" version:uint8           (client → server)
 //	accept    := "CSTW" version:uint8           (server → client)
 //	frame     := length:uvarint payload
 //	payload   := type:uint8 body
-//	request   := id:uvarint src:uvarint dst:uvarint deadline_ms:uvarint
-//	response  := id:uvarint status:uvarint shard:varint arrival:varint
-//	             dispatched:varint finished:varint latency_rounds:varint
-//	             errlen:uvarint err:bytes
+//	pairs     := count:uvarint (src:uvarint dst:uvarint)*
+//	reqtrace  := trace:uvarint span:uvarint flags:uint8
+//	answer    := trace:uvarint errlen:uvarint err:bytes
 //
-// Protocol version 2 adds whole-set scheduling frames for the hybrid
-// planner (arbitrary, possibly non-well-nested communication sets):
+//	type  frame       body
+//	0x01  request     id:uvarint src:uvarint dst:uvarint deadline_ms:uvarint reqtrace
+//	0x02  response    id:uvarint status:uvarint shard:varint arrival:varint
+//	                  dispatched:varint finished:varint latency_rounds:varint answer
+//	0x03  setreq      id:uvarint n:uvarint pairs reqtrace
+//	0x04  setresp     id:uvarint status:uvarint rounds:uvarint bound:uvarint
+//	                  width:uvarint batches:uvarint residual:uvarint
+//	                  units:uvarint strategy:uint8 answer
+//	0x05  deltareq    id:uvarint session:uvarint deadline_ms:uvarint
+//	                  pairs(remove) pairs(add) reqtrace
+//	0x06  deltaresp   id:uvarint session:uvarint status:uvarint rounds:uvarint
+//	                  width:uvarint size:uvarint fallback:uint8 answer
 //
-//	setreq    := id:uvarint n:uvarint count:uvarint (src:uvarint dst:uvarint)*
-//	setresp   := id:uvarint status:uvarint rounds:uvarint bound:uvarint
-//	             width:uvarint batches:uvarint residual:uvarint
-//	             units:uvarint strategy:uint8 errlen:uvarint err:bytes
+// The handshake rejects any version but Version: the server always
+// answers "CSTW" Version, then closes the connection when the client
+// offered something else, and a client that reads any other version
+// fails with ErrVersion. Version 0 and bad magic are rejected before any
+// answer.
 //
-// Set frames are only legal on a session that negotiated version >= 2; a
-// v1 peer never sees the new type bytes. MaxFrameBytes doubles as the set
-// size bound: a set request must pack its (n, pairs) into one frame, which
-// caps a v2 set at roughly MaxFrameBytes/4 communications for multi-byte
-// PE indices — far above the fabric sizes cstserved runs.
+// The trace block carries the span-trace context so one request's span
+// tree survives the protocol hop (see internal/obs); flags bit 0 =
+// sampled, and an untraced request sends three zero bytes. Every answer
+// carries the server-assigned trace id (zero when unsampled). The block is
+// never optional, so parsing stays deterministic and the unsampled hot
+// path stays allocation-free.
 //
-// Protocol version 3 adds span-trace context so one request's span tree
-// survives the protocol hop (see internal/obs). On a v3 session every
-// request and set-request body carries a trailing trace block and every
-// response carries the server-assigned trace id:
-//
-//	reqtrace  := trace:uvarint span:uvarint flags:uint8     (after deadline_ms / pairs)
-//	resptrace := trace:uvarint                              (before errlen)
-//
-// flags bit 0 = sampled. An untraced request sends three zero bytes — the
-// layout is fixed per version, never optional, so v3 parsing stays
-// deterministic and the unsampled hot path stays allocation-free. v1/v2
-// sessions are byte-identical to before: the codecs take the negotiated
-// version and only read or write the trace block at v3+.
-//
-// Protocol version 4 adds session-scoped delta frames for incremental
-// scheduling (padr.Engine.Apply): a client opens a logical session by
-// sending its first delta against an empty set, then mutates it in place
-// with add/remove pairs; the server keeps a warm engine per session and
-// reuses Phase 1 state outside the dirty root paths:
-//
-//	deltareq  := id:uvarint session:uvarint deadline_ms:uvarint
-//	             nremove:uvarint (src:uvarint dst:uvarint)*
-//	             nadd:uvarint (src:uvarint dst:uvarint)*
-//	             trace:uvarint span:uvarint flags:uint8
-//	deltaresp := id:uvarint session:uvarint status:uvarint rounds:uvarint
-//	             width:uvarint size:uvarint fallback:uint8 trace:uvarint
-//	             errlen:uvarint err:bytes
-//
-// Delta frames are only legal on a session that negotiated version >= 4,
-// which implies the v3 trace layout — their trace block is unconditional.
-// Status reuses the HTTP mapping (200 applied, 400 invalid delta, 429
-// session table full, 500 failed, 503 draining, 504 deadline); fallback=1
-// flags a 200 that was served by a from-scratch fallback run rather than
-// an incremental apply. Size is the resulting session set size. v1–v3
-// sessions are byte-identical to before: a pre-v4 peer never sees the new
-// type bytes.
+// Set frames plan an arbitrary, possibly non-well-nested communication set
+// with the hybrid planner; MaxFrameBytes doubles as the set size bound (a
+// set must pack into one frame, roughly MaxFrameBytes/4 communications for
+// multi-byte PE indices). Delta frames mutate a session-scoped set for
+// incremental scheduling (padr.Engine.Apply): a first delta against an
+// unknown session opens it with an empty set, removes apply before adds,
+// and fallback=1 flags a 200 served by a from-scratch run. Size is the
+// session set's size after the delta. Every status reuses the HTTP mapping
+// of the matching serve result.
 //
 // The id correlates pipelined requests with their answers: responses may
 // return out of submission order (conflict-deferred waves and deadline
@@ -93,27 +77,22 @@ import (
 	"time"
 )
 
-// Protocol constants. Version is the newest protocol revision this build
-// speaks; the handshake settles on min(client, server) and rejects 0.
+// Protocol constants.
 const (
 	// Magic opens both handshake directions.
 	Magic = "CSTW"
-	// Version is the current protocol revision: v4 adds session-scoped
-	// delta frames for incremental scheduling.
+	// Version is the protocol revision both sides must speak; the handshake
+	// rejects every other.
 	Version = 4
-	// VersionSets is the first revision that speaks the set frames.
-	VersionSets = 2
-	// VersionTrace is the first revision whose frames carry span-trace
-	// context blocks.
-	VersionTrace = 3
-	// VersionDelta is the first revision that speaks the delta frames.
-	VersionDelta = 4
-	// MaxFrameBytes bounds a frame payload. Requests are ~6 bytes and
+	// MaxFrameBytes bounds a frame payload. Requests are ~9 bytes and
 	// responses ~20 plus a short error string; anything larger is a
 	// corrupt or hostile stream.
 	MaxFrameBytes = 4096
 	// HandshakeBytes is the size of each handshake message.
 	HandshakeBytes = len(Magic) + 1
+	// maxErr caps an answer's error text; longer text is truncated at
+	// encode time because the status code already carries the outcome.
+	maxErr = MaxFrameBytes / 2
 )
 
 // Frame types.
@@ -122,17 +101,17 @@ const (
 	TypeRequest = 0x01
 	// TypeResponse frames a terminal answer (server → client).
 	TypeResponse = 0x02
-	// TypeSetRequest frames a whole-set scheduling request (v2+).
+	// TypeSetRequest frames a whole-set scheduling request.
 	TypeSetRequest = 0x03
-	// TypeSetResponse frames a whole-set answer (v2+).
+	// TypeSetResponse frames a whole-set answer.
 	TypeSetResponse = 0x04
-	// TypeDeltaRequest frames a session-scoped delta request (v4+).
+	// TypeDeltaRequest frames a session-scoped delta request.
 	TypeDeltaRequest = 0x05
-	// TypeDeltaResponse frames a delta answer (v4+).
+	// TypeDeltaResponse frames a delta answer.
 	TypeDeltaResponse = 0x06
 )
 
-// Trace-block flag bits (v3+).
+// Trace-block flag bits.
 const (
 	// FlagSampled marks the request's trace as sampled: the server must
 	// record spans for it regardless of its own head-sampling rate.
@@ -155,8 +134,8 @@ const (
 var (
 	// ErrBadMagic rejects a handshake that does not open with Magic.
 	ErrBadMagic = errors.New("wire: bad magic")
-	// ErrVersion rejects an unusable protocol version (0, or newer than
-	// the local side speaks after negotiation).
+	// ErrVersion rejects a protocol version other than Version (0 is
+	// rejected outright by ParseHello).
 	ErrVersion = errors.New("wire: unsupported protocol version")
 	// ErrFrameTooLarge rejects a length prefix beyond MaxFrameBytes
 	// before any buffer is grown for it.
@@ -177,7 +156,7 @@ type Request struct {
 	ID         uint64
 	Src, Dst   int
 	DeadlineMS int64
-	// Trace/Span/Flags are the propagated span-trace context (v3+; zero =
+	// Trace/Span/Flags are the propagated span-trace context (zero =
 	// untraced). Flags bit 0 (FlagSampled) forces server-side sampling so
 	// a client-initiated trace stays connected across the hop.
 	Trace uint64
@@ -203,32 +182,31 @@ type Response struct {
 	Finished      int
 	LatencyRounds int
 	Err           string
-	// Trace is the server-assigned trace id (v3+; zero when the request
-	// was not sampled) — the handle for /trace/flight lookups.
+	// Trace is the server-assigned trace id (zero when the request was not
+	// sampled) — the handle for /trace/flight lookups.
 	Trace uint64
 }
 
-// SetRequest is one whole-set scheduling request (protocol v2+): plan the
-// communication set Pairs over an N-PE fabric with the hybrid scheduler.
-// The set may mix orientations and cross arbitrarily; validation happens
-// server-side so a malformed set costs a status answer, not a dead
-// connection.
+// SetRequest is one whole-set scheduling request: plan the communication
+// set Pairs over an N-PE fabric with the hybrid scheduler. The set may mix
+// orientations and cross arbitrarily; validation happens server-side so a
+// malformed set costs a status answer, not a dead connection.
 type SetRequest struct {
 	ID uint64
 	// N is the PE count the pairs index into.
 	N int
 	// Pairs are the (src, dst) communications.
 	Pairs [][2]int
-	// Trace/Span/Flags are the propagated span-trace context (v3+).
+	// Trace/Span/Flags are the propagated span-trace context.
 	Trace uint64
 	Span  uint64
 	Flags uint8
 }
 
 // SetResponse is the terminal answer for set request ID. Status reuses the
-// HTTP mapping (200 planned, 400 invalid set, 501 planner disabled, 503
-// draining); the plan fields are meaningful only for status 200. Units is
-// the composite power bill, Strategy one of the Strategy* codes.
+// HTTP mapping (200 planned, 400 invalid set, 413 set too large, 501
+// planner disabled); the plan fields are meaningful only for status 200.
+// Units is the composite power bill, Strategy one of the Strategy* codes.
 type SetResponse struct {
 	ID       uint64
 	Status   int
@@ -240,15 +218,14 @@ type SetResponse struct {
 	Units    int64
 	Strategy uint8
 	Err      string
-	// Trace is the server-assigned trace id (v3+; zero when unsampled).
+	// Trace is the server-assigned trace id (zero when unsampled).
 	Trace uint64
 }
 
-// DeltaRequest is one session-scoped incremental scheduling request
-// (protocol v4+): mutate session Session's communication set by removing
-// the Remove pairs and adding the Add pairs, then re-run the schedule
-// incrementally. A first delta against an unknown session id opens it with
-// an empty set.
+// DeltaRequest is one session-scoped incremental scheduling request:
+// mutate session Session's communication set by removing the Remove pairs
+// and adding the Add pairs, then re-run the schedule incrementally. A
+// first delta against an unknown session id opens it with an empty set.
 type DeltaRequest struct {
 	ID         uint64
 	Session    uint64
@@ -256,8 +233,7 @@ type DeltaRequest struct {
 	// Remove/Add are the (src, dst) mutations; removes apply first.
 	Remove [][2]int
 	Add    [][2]int
-	// Trace/Span/Flags are the propagated span-trace context (always
-	// present: v4 implies the v3 trace layout).
+	// Trace/Span/Flags are the propagated span-trace context.
 	Trace uint64
 	Span  uint64
 	Flags uint8
@@ -274,11 +250,11 @@ func (r *DeltaRequest) Deadline() time.Duration {
 // meaningful only for status 200. Fallback flags a success served by a
 // from-scratch fallback run instead of an incremental apply.
 type DeltaResponse struct {
-	ID       uint64
-	Session  uint64
-	Status   int
-	Rounds   int
-	Width    int
+	ID      uint64
+	Session uint64
+	Status  int
+	Rounds  int
+	Width   int
 	// Size is the session's set size after the delta.
 	Size     int
 	Fallback bool
@@ -287,32 +263,292 @@ type DeltaResponse struct {
 	Trace uint64
 }
 
-// AppendDeltaRequest appends a complete delta-request frame (v4 layout) to
-// buf, or an error when the mutation list cannot fit MaxFrameBytes.
+// AppendRequestV appends a complete request frame (length prefix included)
+// to buf. It never allocates when buf has capacity. Negative Src/Dst are
+// encoded as large uvarints and rejected by the receiver's range check.
+// Every frame has the one layout, so version is ignored; the parameter is
+// kept for the perfbench ladder, which calls the pair codecs with Version.
+func AppendRequestV(buf []byte, r *Request, version uint8) []byte {
+	var arr [2 + 6*binary.MaxVarintLen64]byte
+	body := append(arr[:0], TypeRequest)
+	body = binary.AppendUvarint(body, r.ID)
+	body = binary.AppendUvarint(body, uint64(uint(r.Src)))
+	body = binary.AppendUvarint(body, uint64(uint(r.Dst)))
+	body = binary.AppendUvarint(body, uint64(r.DeadlineMS))
+	body = appendTrace(body, r.Trace, r.Span, r.Flags)
+	buf = binary.AppendUvarint(buf, uint64(len(body)))
+	return append(buf, body...)
+}
+
+// AppendResponseV appends a complete response frame to buf (version is
+// ignored, as for AppendRequestV).
+func AppendResponseV(buf []byte, r *Response, version uint8) []byte {
+	var arr [2 + 9*binary.MaxVarintLen64]byte
+	body := append(arr[:0], TypeResponse)
+	body = binary.AppendUvarint(body, r.ID)
+	body = binary.AppendUvarint(body, uint64(uint(r.Status)))
+	body = binary.AppendVarint(body, int64(r.Shard))
+	body = binary.AppendVarint(body, int64(r.Arrival))
+	body = binary.AppendVarint(body, int64(r.Dispatched))
+	body = binary.AppendVarint(body, int64(r.Finished))
+	body = binary.AppendVarint(body, int64(r.LatencyRounds))
+	return appendAnswer(buf, body, r.Trace, r.Err)
+}
+
+// AppendSetRequest appends a complete set-request frame to buf, or an
+// error when the set cannot fit MaxFrameBytes — the frame bound is the
+// protocol's set size limit, checked before any bytes are emitted.
+func AppendSetRequest(buf []byte, r *SetRequest) ([]byte, error) {
+	body := make([]byte, 0, 2+(5+2*len(r.Pairs))*binary.MaxVarintLen64)
+	body = append(body, TypeSetRequest)
+	body = binary.AppendUvarint(body, r.ID)
+	body = binary.AppendUvarint(body, uint64(uint(r.N)))
+	body = appendPairs(body, r.Pairs)
+	body = appendTrace(body, r.Trace, r.Span, r.Flags)
+	return appendBody(buf, body, "set request")
+}
+
+// AppendSetResponse appends a complete set-response frame to buf.
+func AppendSetResponse(buf []byte, r *SetResponse) []byte {
+	var arr [3 + 10*binary.MaxVarintLen64]byte
+	body := append(arr[:0], TypeSetResponse)
+	body = binary.AppendUvarint(body, r.ID)
+	for _, v := range [...]int{r.Status, r.Rounds, r.Bound, r.Width, r.Batches, r.Residual} {
+		body = binary.AppendUvarint(body, uint64(uint(v)))
+	}
+	body = binary.AppendUvarint(body, uint64(r.Units))
+	body = append(body, r.Strategy)
+	return appendAnswer(buf, body, r.Trace, r.Err)
+}
+
+// AppendDeltaRequest appends a complete delta-request frame to buf, or an
+// error when the mutation list cannot fit MaxFrameBytes.
 func AppendDeltaRequest(buf []byte, r *DeltaRequest) ([]byte, error) {
 	body := make([]byte, 0, 6+(7+2*(len(r.Remove)+len(r.Add)))*binary.MaxVarintLen64)
 	body = append(body, TypeDeltaRequest)
 	body = binary.AppendUvarint(body, r.ID)
 	body = binary.AppendUvarint(body, r.Session)
 	body = binary.AppendUvarint(body, uint64(r.DeadlineMS))
-	body = binary.AppendUvarint(body, uint64(len(r.Remove)))
-	for _, p := range r.Remove {
+	body = appendPairs(body, r.Remove)
+	body = appendPairs(body, r.Add)
+	body = appendTrace(body, r.Trace, r.Span, r.Flags)
+	return appendBody(buf, body, "delta request")
+}
+
+// AppendDeltaResponse appends a complete delta-response frame to buf.
+func AppendDeltaResponse(buf []byte, r *DeltaResponse) []byte {
+	var arr [3 + 9*binary.MaxVarintLen64]byte
+	body := append(arr[:0], TypeDeltaResponse)
+	body = binary.AppendUvarint(body, r.ID)
+	body = binary.AppendUvarint(body, r.Session)
+	for _, v := range [...]int{r.Status, r.Rounds, r.Width, r.Size} {
+		body = binary.AppendUvarint(body, uint64(uint(v)))
+	}
+	fallback := byte(0)
+	if r.Fallback {
+		fallback = 1
+	}
+	body = append(body, fallback)
+	return appendAnswer(buf, body, r.Trace, r.Err)
+}
+
+// appendPairs appends a counted (src, dst) pair list.
+func appendPairs(body []byte, pairs [][2]int) []byte {
+	body = binary.AppendUvarint(body, uint64(len(pairs)))
+	for _, p := range pairs {
 		body = binary.AppendUvarint(body, uint64(uint(p[0])))
 		body = binary.AppendUvarint(body, uint64(uint(p[1])))
 	}
-	body = binary.AppendUvarint(body, uint64(len(r.Add)))
-	for _, p := range r.Add {
-		body = binary.AppendUvarint(body, uint64(uint(p[0])))
-		body = binary.AppendUvarint(body, uint64(uint(p[1])))
-	}
-	body = binary.AppendUvarint(body, r.Trace)
-	body = binary.AppendUvarint(body, r.Span)
-	body = append(body, r.Flags)
+	return body
+}
+
+// appendTrace appends a request's trace block.
+func appendTrace(body []byte, trace, span uint64, flags uint8) []byte {
+	body = binary.AppendUvarint(body, trace)
+	body = binary.AppendUvarint(body, span)
+	return append(body, flags)
+}
+
+// appendBody length-prefixes a variable-size request body onto buf,
+// refusing one over MaxFrameBytes.
+func appendBody(buf, body []byte, what string) ([]byte, error) {
 	if len(body) > MaxFrameBytes {
-		return buf, fmt.Errorf("%w: delta request needs %d bytes", ErrFrameTooLarge, len(body))
+		return buf, fmt.Errorf("%w: %s needs %d bytes", ErrFrameTooLarge, what, len(body))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(body)))
 	return append(buf, body...), nil
+}
+
+// appendAnswer finishes an answer frame: the fixed fields in body, then
+// the trace id and the error text, truncated to maxErr.
+func appendAnswer(buf, body []byte, trace uint64, errStr string) []byte {
+	if len(errStr) > maxErr {
+		errStr = errStr[:maxErr]
+	}
+	body = binary.AppendUvarint(body, trace)
+	body = binary.AppendUvarint(body, uint64(len(errStr)))
+	buf = binary.AppendUvarint(buf, uint64(len(body)+len(errStr)))
+	buf = append(buf, body...)
+	return append(buf, errStr...)
+}
+
+// ParseRequestV decodes a request body (as returned by DecodeFrame for
+// TypeRequest) into req without allocating. The body must be exactly one
+// request: trailing bytes are ErrBadFrame. version is ignored, as for
+// AppendRequestV.
+func ParseRequestV(body []byte, req *Request, version uint8) error {
+	id, rest, err := uvarintField(body, "id")
+	if err != nil {
+		return err
+	}
+	src, rest, err := uvarintField(rest, "src")
+	if err != nil {
+		return err
+	}
+	dst, rest, err := uvarintField(rest, "dst")
+	if err != nil {
+		return err
+	}
+	dl, rest, err := uvarintField(rest, "deadline_ms")
+	if err != nil {
+		return err
+	}
+	trace, span, flags, err := traceTail(rest, "request")
+	if err != nil {
+		return err
+	}
+	if src > math.MaxInt32 || dst > math.MaxInt32 {
+		return fmt.Errorf("%w: endpoint out of range", ErrBadFrame)
+	}
+	if dl > math.MaxInt64/uint64(time.Millisecond) {
+		return fmt.Errorf("%w: deadline out of range", ErrBadFrame)
+	}
+	*req = Request{
+		ID:         id,
+		Src:        int(src),
+		Dst:        int(dst),
+		DeadlineMS: int64(dl),
+		Trace:      trace,
+		Span:       span,
+		Flags:      flags,
+	}
+	return nil
+}
+
+// ParseResponseV decodes a response body (as returned by DecodeFrame for
+// TypeResponse) into resp. It allocates only for a non-empty error string.
+// version is ignored, as for AppendRequestV.
+func ParseResponseV(body []byte, resp *Response, version uint8) error {
+	id, rest, err := uvarintField(body, "id")
+	if err != nil {
+		return err
+	}
+	status, rest, err := uvarintField(rest, "status")
+	if err != nil {
+		return err
+	}
+	if status > math.MaxInt32 {
+		return fmt.Errorf("%w: status out of range", ErrBadFrame)
+	}
+	var fields [5]int64
+	for i, name := range [...]string{"shard", "arrival", "dispatched", "finished", "latency_rounds"} {
+		fields[i], rest, err = varintField(rest, name)
+		if err != nil {
+			return err
+		}
+		if fields[i] > math.MaxInt32 || fields[i] < math.MinInt32 {
+			return fmt.Errorf("%w: field %s out of range", ErrBadFrame, name)
+		}
+	}
+	trace, errStr, err := answerTail(rest)
+	if err != nil {
+		return err
+	}
+	*resp = Response{
+		ID:            id,
+		Status:        int(status),
+		Shard:         int(fields[0]),
+		Arrival:       int(fields[1]),
+		Dispatched:    int(fields[2]),
+		Finished:      int(fields[3]),
+		LatencyRounds: int(fields[4]),
+		Err:           errStr,
+		Trace:         trace,
+	}
+	return nil
+}
+
+// ParseSetRequest decodes a set-request body (as returned by DecodeFrame
+// for TypeSetRequest) into req. The pair slice is reused when it has
+// capacity. The claimed pair count is checked against the remaining bytes
+// (each pair needs at least two) before any allocation sized by it.
+func ParseSetRequest(body []byte, req *SetRequest) error {
+	id, rest, err := uvarintField(body, "id")
+	if err != nil {
+		return err
+	}
+	n, rest, err := uvarintField(rest, "n")
+	if err != nil {
+		return err
+	}
+	if n > math.MaxInt32 {
+		return fmt.Errorf("%w: fabric size out of range", ErrBadFrame)
+	}
+	if req.Pairs, rest, err = pairList(rest, req.Pairs, "count"); err != nil {
+		return err
+	}
+	if req.Trace, req.Span, req.Flags, err = traceTail(rest, "set request"); err != nil {
+		return err
+	}
+	req.ID = id
+	req.N = int(n)
+	return nil
+}
+
+// ParseSetResponse decodes a set-response body (as returned by DecodeFrame
+// for TypeSetResponse) into resp. It allocates only for a non-empty error
+// string.
+func ParseSetResponse(body []byte, resp *SetResponse) error {
+	id, rest, err := uvarintField(body, "id")
+	if err != nil {
+		return err
+	}
+	var fields [6]int
+	if rest, err = intFields(rest, fields[:], "status", "rounds", "bound", "width", "batches", "residual"); err != nil {
+		return err
+	}
+	units, rest, err := uvarintField(rest, "units")
+	if err != nil {
+		return err
+	}
+	if units > math.MaxInt64 {
+		return fmt.Errorf("%w: units out of range", ErrBadFrame)
+	}
+	if len(rest) == 0 {
+		return fmt.Errorf("%w: field strategy", ErrTruncated)
+	}
+	strategy := rest[0]
+	if strategy > StrategyColoring {
+		return fmt.Errorf("%w: strategy code %d", ErrBadFrame, strategy)
+	}
+	trace, errStr, err := answerTail(rest[1:])
+	if err != nil {
+		return err
+	}
+	*resp = SetResponse{
+		ID:       id,
+		Status:   fields[0],
+		Rounds:   fields[1],
+		Bound:    fields[2],
+		Width:    fields[3],
+		Batches:  fields[4],
+		Residual: fields[5],
+		Units:    int64(units),
+		Strategy: strategy,
+		Err:      errStr,
+		Trace:    trace,
+	}
+	return nil
 }
 
 // ParseDeltaRequest decodes a delta-request body (as returned by
@@ -341,15 +577,53 @@ func ParseDeltaRequest(body []byte, req *DeltaRequest) error {
 	if req.Add, rest, err = pairList(rest, req.Add, "nadd"); err != nil {
 		return err
 	}
-	if req.Trace, req.Span, req.Flags, rest, err = traceBlock(rest); err != nil {
+	if req.Trace, req.Span, req.Flags, err = traceTail(rest, "delta request"); err != nil {
 		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after delta request", ErrBadFrame, len(rest))
 	}
 	req.ID = id
 	req.Session = session
 	req.DeadlineMS = int64(dl)
+	return nil
+}
+
+// ParseDeltaResponse decodes a delta-response body (as returned by
+// DecodeFrame for TypeDeltaResponse) into resp. It allocates only for a
+// non-empty error string.
+func ParseDeltaResponse(body []byte, resp *DeltaResponse) error {
+	id, rest, err := uvarintField(body, "id")
+	if err != nil {
+		return err
+	}
+	session, rest, err := uvarintField(rest, "session")
+	if err != nil {
+		return err
+	}
+	var fields [4]int
+	if rest, err = intFields(rest, fields[:], "status", "rounds", "width", "size"); err != nil {
+		return err
+	}
+	if len(rest) == 0 {
+		return fmt.Errorf("%w: field fallback", ErrTruncated)
+	}
+	fb := rest[0]
+	if fb > 1 {
+		return fmt.Errorf("%w: fallback flag %d", ErrBadFrame, fb)
+	}
+	trace, errStr, err := answerTail(rest[1:])
+	if err != nil {
+		return err
+	}
+	*resp = DeltaResponse{
+		ID:       id,
+		Session:  session,
+		Status:   fields[0],
+		Rounds:   fields[1],
+		Width:    fields[2],
+		Size:     fields[3],
+		Fallback: fb == 1,
+		Err:      errStr,
+		Trace:    trace,
+	}
 	return nil
 }
 
@@ -384,378 +658,58 @@ func pairList(b []byte, into [][2]int, name string) ([][2]int, []byte, error) {
 	return into, rest, nil
 }
 
-// AppendDeltaResponse appends a complete delta-response frame (v4 layout)
-// to buf. Oversized error strings are truncated like AppendResponse's.
-func AppendDeltaResponse(buf []byte, r *DeltaResponse) []byte {
-	const maxErr = MaxFrameBytes / 2
-	errStr := r.Err
-	if len(errStr) > maxErr {
-		errStr = errStr[:maxErr]
-	}
-	var body [2 + 8*binary.MaxVarintLen64]byte
-	n := 0
-	body[n] = TypeDeltaResponse
-	n++
-	n += binary.PutUvarint(body[n:], r.ID)
-	n += binary.PutUvarint(body[n:], r.Session)
-	n += binary.PutUvarint(body[n:], uint64(uint(r.Status)))
-	n += binary.PutUvarint(body[n:], uint64(uint(r.Rounds)))
-	n += binary.PutUvarint(body[n:], uint64(uint(r.Width)))
-	n += binary.PutUvarint(body[n:], uint64(uint(r.Size)))
-	if r.Fallback {
-		body[n] = 1
-	} else {
-		body[n] = 0
-	}
-	n++
-	n += binary.PutUvarint(body[n:], r.Trace)
-	n += binary.PutUvarint(body[n:], uint64(len(errStr)))
-	buf = binary.AppendUvarint(buf, uint64(n+len(errStr)))
-	buf = append(buf, body[:n]...)
-	return append(buf, errStr...)
-}
-
-// ParseDeltaResponse decodes a delta-response body (as returned by
-// DecodeFrame for TypeDeltaResponse) into resp. It allocates only for a
-// non-empty error string.
-func ParseDeltaResponse(body []byte, resp *DeltaResponse) error {
-	id, rest, err := uvarintField(body, "id")
-	if err != nil {
-		return err
-	}
-	session, rest, err := uvarintField(rest, "session")
-	if err != nil {
-		return err
-	}
-	var fields [4]uint64
-	for i, name := range [...]string{"status", "rounds", "width", "size"} {
-		fields[i], rest, err = uvarintField(rest, name)
+// intFields reads one uvarint per name into out, each bounded by MaxInt32.
+func intFields(b []byte, out []int, names ...string) ([]byte, error) {
+	for i, name := range names {
+		v, rest, err := uvarintField(b, name)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if fields[i] > math.MaxInt32 {
-			return fmt.Errorf("%w: field %s out of range", ErrBadFrame, name)
+		if v > math.MaxInt32 {
+			return nil, fmt.Errorf("%w: field %s out of range", ErrBadFrame, name)
 		}
+		out[i], b = int(v), rest
 	}
-	if len(rest) == 0 {
-		return fmt.Errorf("%w: field fallback", ErrTruncated)
-	}
-	fb := rest[0]
-	rest = rest[1:]
-	if fb > 1 {
-		return fmt.Errorf("%w: fallback flag %d", ErrBadFrame, fb)
-	}
-	trace, rest, err := uvarintField(rest, "trace")
+	return b, nil
+}
+
+// traceTail reads the trace block that ends every request body, rejecting
+// trailing bytes after it.
+func traceTail(b []byte, what string) (trace, span uint64, flags uint8, err error) {
+	trace, rest, err := uvarintField(b, "trace")
 	if err != nil {
-		return err
-	}
-	errLen, rest, err := uvarintField(rest, "errlen")
-	if err != nil {
-		return err
-	}
-	if uint64(len(rest)) != errLen {
-		return fmt.Errorf("%w: errlen %d with %d bytes left", ErrBadFrame, errLen, len(rest))
-	}
-	resp.ID = id
-	resp.Session = session
-	resp.Status = int(fields[0])
-	resp.Rounds = int(fields[1])
-	resp.Width = int(fields[2])
-	resp.Size = int(fields[3])
-	resp.Fallback = fb == 1
-	resp.Trace = trace
-	if errLen == 0 {
-		resp.Err = ""
-	} else {
-		resp.Err = string(rest)
-	}
-	return nil
-}
-
-// AppendRequest appends a complete request frame (length prefix included)
-// to buf in the pre-trace (v1/v2) layout. It never allocates when buf has
-// capacity. Negative Src/Dst are encoded as large uvarints and rejected by
-// the receiver's range check.
-func AppendRequest(buf []byte, r *Request) []byte {
-	return AppendRequestV(buf, r, VersionSets)
-}
-
-// AppendRequestV appends a complete request frame in the layout of the
-// negotiated protocol version: at VersionTrace+ the body ends with the
-// trace block (zeros when untraced — the layout is fixed per version).
-func AppendRequestV(buf []byte, r *Request, version uint8) []byte {
-	var body [2 + 6*binary.MaxVarintLen64]byte
-	n := 0
-	body[n] = TypeRequest
-	n++
-	n += binary.PutUvarint(body[n:], r.ID)
-	n += binary.PutUvarint(body[n:], uint64(uint(r.Src)))
-	n += binary.PutUvarint(body[n:], uint64(uint(r.Dst)))
-	n += binary.PutUvarint(body[n:], uint64(r.DeadlineMS))
-	if version >= VersionTrace {
-		n += binary.PutUvarint(body[n:], r.Trace)
-		n += binary.PutUvarint(body[n:], r.Span)
-		body[n] = r.Flags
-		n++
-	}
-	buf = binary.AppendUvarint(buf, uint64(n))
-	return append(buf, body[:n]...)
-}
-
-// AppendResponse appends a complete response frame to buf in the
-// pre-trace (v1/v2) layout. An Err longer than the frame budget is
-// truncated rather than rejected — the status code already carries the
-// outcome.
-func AppendResponse(buf []byte, r *Response) []byte {
-	return AppendResponseV(buf, r, VersionSets)
-}
-
-// AppendResponseV appends a complete response frame in the layout of the
-// negotiated protocol version: at VersionTrace+ a trace-id uvarint sits
-// between latency_rounds and errlen.
-func AppendResponseV(buf []byte, r *Response, version uint8) []byte {
-	const maxErr = MaxFrameBytes / 2
-	errStr := r.Err
-	if len(errStr) > maxErr {
-		errStr = errStr[:maxErr]
-	}
-	var body [1 + 8*binary.MaxVarintLen64]byte
-	n := 0
-	body[n] = TypeResponse
-	n++
-	n += binary.PutUvarint(body[n:], r.ID)
-	n += binary.PutUvarint(body[n:], uint64(uint(r.Status)))
-	n += binary.PutVarint(body[n:], int64(r.Shard))
-	n += binary.PutVarint(body[n:], int64(r.Arrival))
-	n += binary.PutVarint(body[n:], int64(r.Dispatched))
-	n += binary.PutVarint(body[n:], int64(r.Finished))
-	n += binary.PutVarint(body[n:], int64(r.LatencyRounds))
-	if version >= VersionTrace {
-		n += binary.PutUvarint(body[n:], r.Trace)
-	}
-	n += binary.PutUvarint(body[n:], uint64(len(errStr)))
-	buf = binary.AppendUvarint(buf, uint64(n+len(errStr)))
-	buf = append(buf, body[:n]...)
-	return append(buf, errStr...)
-}
-
-// AppendSetRequest appends a complete set-request frame to buf in the v2
-// layout, or an error when the set cannot fit MaxFrameBytes — the frame
-// bound is the protocol's set size limit, checked before any bytes are
-// emitted.
-func AppendSetRequest(buf []byte, r *SetRequest) ([]byte, error) {
-	return AppendSetRequestV(buf, r, VersionSets)
-}
-
-// AppendSetRequestV appends a complete set-request frame in the layout of
-// the negotiated protocol version: at VersionTrace+ the trace block
-// follows the pair list.
-func AppendSetRequestV(buf []byte, r *SetRequest, version uint8) ([]byte, error) {
-	body := make([]byte, 0, 2+(5+2*len(r.Pairs))*binary.MaxVarintLen64)
-	body = append(body, TypeSetRequest)
-	body = binary.AppendUvarint(body, r.ID)
-	body = binary.AppendUvarint(body, uint64(uint(r.N)))
-	body = binary.AppendUvarint(body, uint64(len(r.Pairs)))
-	for _, p := range r.Pairs {
-		body = binary.AppendUvarint(body, uint64(uint(p[0])))
-		body = binary.AppendUvarint(body, uint64(uint(p[1])))
-	}
-	if version >= VersionTrace {
-		body = binary.AppendUvarint(body, r.Trace)
-		body = binary.AppendUvarint(body, r.Span)
-		body = append(body, r.Flags)
-	}
-	if len(body) > MaxFrameBytes {
-		return buf, fmt.Errorf("%w: set request needs %d bytes", ErrFrameTooLarge, len(body))
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	return append(buf, body...), nil
-}
-
-// AppendSetResponse appends a complete set-response frame to buf in the
-// v2 layout. Oversized error strings are truncated like AppendResponse's.
-func AppendSetResponse(buf []byte, r *SetResponse) []byte {
-	return AppendSetResponseV(buf, r, VersionSets)
-}
-
-// AppendSetResponseV appends a complete set-response frame in the layout
-// of the negotiated protocol version: at VersionTrace+ a trace-id uvarint
-// sits between strategy and errlen.
-func AppendSetResponseV(buf []byte, r *SetResponse, version uint8) []byte {
-	const maxErr = MaxFrameBytes / 2
-	errStr := r.Err
-	if len(errStr) > maxErr {
-		errStr = errStr[:maxErr]
-	}
-	var body [2 + 9*binary.MaxVarintLen64]byte
-	n := 0
-	body[n] = TypeSetResponse
-	n++
-	n += binary.PutUvarint(body[n:], r.ID)
-	n += binary.PutUvarint(body[n:], uint64(uint(r.Status)))
-	n += binary.PutUvarint(body[n:], uint64(uint(r.Rounds)))
-	n += binary.PutUvarint(body[n:], uint64(uint(r.Bound)))
-	n += binary.PutUvarint(body[n:], uint64(uint(r.Width)))
-	n += binary.PutUvarint(body[n:], uint64(uint(r.Batches)))
-	n += binary.PutUvarint(body[n:], uint64(uint(r.Residual)))
-	n += binary.PutUvarint(body[n:], uint64(r.Units))
-	body[n] = r.Strategy
-	n++
-	if version >= VersionTrace {
-		n += binary.PutUvarint(body[n:], r.Trace)
-	}
-	n += binary.PutUvarint(body[n:], uint64(len(errStr)))
-	buf = binary.AppendUvarint(buf, uint64(n+len(errStr)))
-	buf = append(buf, body[:n]...)
-	return append(buf, errStr...)
-}
-
-// ParseSetRequest decodes a v2-layout set-request body (as returned by
-// DecodeFrame for TypeSetRequest) into req. The pair slice is reused when
-// it has capacity. The claimed pair count is checked against the remaining
-// bytes (each pair needs at least two) before any allocation sized by it.
-func ParseSetRequest(body []byte, req *SetRequest) error {
-	return ParseSetRequestV(body, req, VersionSets)
-}
-
-// ParseSetRequestV decodes a set-request body in the layout of the
-// negotiated protocol version (trace block at VersionTrace+).
-func ParseSetRequestV(body []byte, req *SetRequest, version uint8) error {
-	id, rest, err := uvarintField(body, "id")
-	if err != nil {
-		return err
-	}
-	n, rest, err := uvarintField(rest, "n")
-	if err != nil {
-		return err
-	}
-	count, rest, err := uvarintField(rest, "count")
-	if err != nil {
-		return err
-	}
-	if n > math.MaxInt32 {
-		return fmt.Errorf("%w: fabric size out of range", ErrBadFrame)
-	}
-	if count > uint64(len(rest))/2 {
-		return fmt.Errorf("%w: %d pairs claimed with %d bytes left", ErrBadFrame, count, len(rest))
-	}
-	req.ID = id
-	req.N = int(n)
-	if cap(req.Pairs) < int(count) {
-		req.Pairs = make([][2]int, count)
-	}
-	req.Pairs = req.Pairs[:count]
-	for i := range req.Pairs {
-		var src, dst uint64
-		src, rest, err = uvarintField(rest, "src")
-		if err != nil {
-			return err
-		}
-		dst, rest, err = uvarintField(rest, "dst")
-		if err != nil {
-			return err
-		}
-		if src > math.MaxInt32 || dst > math.MaxInt32 {
-			return fmt.Errorf("%w: endpoint out of range", ErrBadFrame)
-		}
-		req.Pairs[i] = [2]int{int(src), int(dst)}
-	}
-	req.Trace, req.Span, req.Flags = 0, 0, 0
-	if version >= VersionTrace {
-		if req.Trace, req.Span, req.Flags, rest, err = traceBlock(rest); err != nil {
-			return err
-		}
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after set request", ErrBadFrame, len(rest))
-	}
-	return nil
-}
-
-// traceBlock reads the v3 request trace block (trace, span, flags).
-func traceBlock(b []byte) (trace, span uint64, flags uint8, rest []byte, err error) {
-	trace, rest, err = uvarintField(b, "trace")
-	if err != nil {
-		return 0, 0, 0, nil, err
+		return 0, 0, 0, err
 	}
 	span, rest, err = uvarintField(rest, "span")
 	if err != nil {
-		return 0, 0, 0, nil, err
+		return 0, 0, 0, err
 	}
 	if len(rest) == 0 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: field flags", ErrTruncated)
+		return 0, 0, 0, fmt.Errorf("%w: field flags", ErrTruncated)
 	}
-	return trace, span, rest[0], rest[1:], nil
+	if len(rest) != 1 {
+		return 0, 0, 0, fmt.Errorf("%w: %d trailing bytes after %s", ErrBadFrame, len(rest)-1, what)
+	}
+	return trace, span, rest[0], nil
 }
 
-// ParseSetResponse decodes a v2-layout set-response body (as returned by
-// DecodeFrame for TypeSetResponse) into resp. It allocates only for a
-// non-empty error string.
-func ParseSetResponse(body []byte, resp *SetResponse) error {
-	return ParseSetResponseV(body, resp, VersionSets)
-}
-
-// ParseSetResponseV decodes a set-response body in the layout of the
-// negotiated protocol version (trace id at VersionTrace+).
-func ParseSetResponseV(body []byte, resp *SetResponse, version uint8) error {
-	id, rest, err := uvarintField(body, "id")
+// answerTail reads the trace id and error text that end every answer body.
+func answerTail(b []byte) (trace uint64, errStr string, err error) {
+	trace, rest, err := uvarintField(b, "trace")
 	if err != nil {
-		return err
-	}
-	var fields [6]uint64
-	for i, name := range [...]string{"status", "rounds", "bound", "width", "batches", "residual"} {
-		fields[i], rest, err = uvarintField(rest, name)
-		if err != nil {
-			return err
-		}
-		if fields[i] > math.MaxInt32 {
-			return fmt.Errorf("%w: field %s out of range", ErrBadFrame, name)
-		}
-	}
-	units, rest, err := uvarintField(rest, "units")
-	if err != nil {
-		return err
-	}
-	if units > math.MaxInt64 {
-		return fmt.Errorf("%w: units out of range", ErrBadFrame)
-	}
-	if len(rest) == 0 {
-		return fmt.Errorf("%w: field strategy", ErrTruncated)
-	}
-	strategy := rest[0]
-	rest = rest[1:]
-	if strategy > StrategyColoring {
-		return fmt.Errorf("%w: strategy code %d", ErrBadFrame, strategy)
-	}
-	var trace uint64
-	if version >= VersionTrace {
-		if trace, rest, err = uvarintField(rest, "trace"); err != nil {
-			return err
-		}
+		return 0, "", err
 	}
 	errLen, rest, err := uvarintField(rest, "errlen")
 	if err != nil {
-		return err
+		return 0, "", err
 	}
 	if uint64(len(rest)) != errLen {
-		return fmt.Errorf("%w: errlen %d with %d bytes left", ErrBadFrame, errLen, len(rest))
+		return 0, "", fmt.Errorf("%w: errlen %d with %d bytes left", ErrBadFrame, errLen, len(rest))
 	}
-	resp.ID = id
-	resp.Status = int(fields[0])
-	resp.Rounds = int(fields[1])
-	resp.Bound = int(fields[2])
-	resp.Width = int(fields[3])
-	resp.Batches = int(fields[4])
-	resp.Residual = int(fields[5])
-	resp.Units = int64(units)
-	resp.Strategy = strategy
-	resp.Trace = trace
-	if errLen == 0 {
-		resp.Err = ""
-	} else {
-		resp.Err = string(rest)
+	if errLen != 0 {
+		errStr = string(rest)
 	}
-	return nil
+	return trace, errStr, nil
 }
 
 // DecodeFrame parses one length-prefixed frame from the front of b,
@@ -777,13 +731,18 @@ func DecodeFrame(b []byte) (typ byte, body []byte, n int, err error) {
 		return 0, nil, 0, fmt.Errorf("%w: payload wants %d bytes, have %d", ErrTruncated, length, len(b)-ln)
 	}
 	payload := b[ln : ln+int(length)]
-	switch payload[0] {
-	case TypeRequest, TypeResponse, TypeSetRequest, TypeSetResponse,
-		TypeDeltaRequest, TypeDeltaResponse:
-		return payload[0], payload[1:], ln + int(length), nil
-	default:
-		return 0, nil, 0, fmt.Errorf("%w: 0x%02x", ErrUnknownType, payload[0])
+	if err := checkType(payload[0]); err != nil {
+		return 0, nil, 0, err
 	}
+	return payload[0], payload[1:], ln + int(length), nil
+}
+
+// checkType rejects a frame type byte outside the known set.
+func checkType(typ byte) error {
+	if typ < TypeRequest || typ > TypeDeltaResponse {
+		return fmt.Errorf("%w: 0x%02x", ErrUnknownType, typ)
+	}
+	return nil
 }
 
 // uvarintField reads one uvarint from b, rejecting junk encodings.
@@ -813,126 +772,13 @@ func badVarintErr(b []byte, n int) error {
 	return ErrBadFrame
 }
 
-// ParseRequest decodes a v1/v2-layout request body (as returned by
-// DecodeFrame for TypeRequest) into req without allocating. The body must
-// be exactly one request: trailing bytes are ErrBadFrame.
-func ParseRequest(body []byte, req *Request) error {
-	return ParseRequestV(body, req, VersionSets)
-}
-
-// ParseRequestV decodes a request body in the layout of the negotiated
-// protocol version (trace block at VersionTrace+) without allocating.
-func ParseRequestV(body []byte, req *Request, version uint8) error {
-	id, rest, err := uvarintField(body, "id")
-	if err != nil {
-		return err
-	}
-	src, rest, err := uvarintField(rest, "src")
-	if err != nil {
-		return err
-	}
-	dst, rest, err := uvarintField(rest, "dst")
-	if err != nil {
-		return err
-	}
-	dl, rest, err := uvarintField(rest, "deadline_ms")
-	if err != nil {
-		return err
-	}
-	var trace, span uint64
-	var flags uint8
-	if version >= VersionTrace {
-		if trace, span, flags, rest, err = traceBlock(rest); err != nil {
-			return err
-		}
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after request", ErrBadFrame, len(rest))
-	}
-	if src > math.MaxInt32 || dst > math.MaxInt32 {
-		return fmt.Errorf("%w: endpoint out of range", ErrBadFrame)
-	}
-	if dl > math.MaxInt64/uint64(time.Millisecond) {
-		return fmt.Errorf("%w: deadline out of range", ErrBadFrame)
-	}
-	req.ID = id
-	req.Src = int(src)
-	req.Dst = int(dst)
-	req.DeadlineMS = int64(dl)
-	req.Trace = trace
-	req.Span = span
-	req.Flags = flags
-	return nil
-}
-
-// ParseResponse decodes a v1/v2-layout response body (as returned by
-// DecodeFrame for TypeResponse) into resp. It allocates only for a
-// non-empty error string.
-func ParseResponse(body []byte, resp *Response) error {
-	return ParseResponseV(body, resp, VersionSets)
-}
-
-// ParseResponseV decodes a response body in the layout of the negotiated
-// protocol version (trace id at VersionTrace+).
-func ParseResponseV(body []byte, resp *Response, version uint8) error {
-	id, rest, err := uvarintField(body, "id")
-	if err != nil {
-		return err
-	}
-	status, rest, err := uvarintField(rest, "status")
-	if err != nil {
-		return err
-	}
-	if status > math.MaxInt32 {
-		return fmt.Errorf("%w: status out of range", ErrBadFrame)
-	}
-	var fields [5]int64
-	for i, name := range [...]string{"shard", "arrival", "dispatched", "finished", "latency_rounds"} {
-		fields[i], rest, err = varintField(rest, name)
-		if err != nil {
-			return err
-		}
-		if fields[i] > math.MaxInt32 || fields[i] < math.MinInt32 {
-			return fmt.Errorf("%w: field %s out of range", ErrBadFrame, name)
-		}
-	}
-	var trace uint64
-	if version >= VersionTrace {
-		if trace, rest, err = uvarintField(rest, "trace"); err != nil {
-			return err
-		}
-	}
-	errLen, rest, err := uvarintField(rest, "errlen")
-	if err != nil {
-		return err
-	}
-	if uint64(len(rest)) != errLen {
-		return fmt.Errorf("%w: errlen %d with %d bytes left", ErrBadFrame, errLen, len(rest))
-	}
-	resp.ID = id
-	resp.Status = int(status)
-	resp.Shard = int(fields[0])
-	resp.Arrival = int(fields[1])
-	resp.Dispatched = int(fields[2])
-	resp.Finished = int(fields[3])
-	resp.LatencyRounds = int(fields[4])
-	resp.Trace = trace
-	if errLen == 0 {
-		resp.Err = ""
-	} else {
-		resp.Err = string(rest)
-	}
-	return nil
-}
-
 // AppendHello appends a handshake message offering version.
 func AppendHello(buf []byte, version uint8) []byte {
 	return append(append(buf, Magic...), version)
 }
 
 // ParseHello validates a handshake message and returns the offered
-// version. Version 0 is ErrVersion — there is no protocol 0 to fall back
-// to.
+// version. Version 0 is ErrVersion — there is no protocol 0.
 func ParseHello(b []byte) (uint8, error) {
 	if len(b) < HandshakeBytes {
 		return 0, fmt.Errorf("%w: handshake wants %d bytes, have %d", ErrTruncated, HandshakeBytes, len(b))
@@ -945,15 +791,6 @@ func ParseHello(b []byte) (uint8, error) {
 		return 0, fmt.Errorf("%w: 0", ErrVersion)
 	}
 	return v, nil
-}
-
-// Negotiate resolves the version a server answers a client hello with:
-// the newer side yields, so the session runs min(offered, local).
-func Negotiate(offered, local uint8) uint8 {
-	if offered < local {
-		return offered
-	}
-	return local
 }
 
 // Reader reads frames off a stream into a reusable buffer: steady-state
@@ -996,13 +833,10 @@ func (r *Reader) Next() (typ byte, body []byte, err error) {
 		}
 		return 0, nil, err
 	}
-	switch payload[0] {
-	case TypeRequest, TypeResponse, TypeSetRequest, TypeSetResponse,
-		TypeDeltaRequest, TypeDeltaResponse:
-		return payload[0], payload[1:], nil
-	default:
-		return 0, nil, fmt.Errorf("%w: 0x%02x", ErrUnknownType, payload[0])
+	if err := checkType(payload[0]); err != nil {
+		return 0, nil, err
 	}
+	return payload[0], payload[1:], nil
 }
 
 // ClientConn is a client side of the wire protocol: one persistent
@@ -1013,7 +847,6 @@ type ClientConn struct {
 	r       *Reader
 	bw      *bufio.Writer
 	scratch []byte
-	version uint8
 }
 
 // Dial connects, performs the handshake and returns a ready connection.
@@ -1031,16 +864,10 @@ func Dial(addr string, timeout time.Duration) (*ClientConn, error) {
 }
 
 // NewClientConn performs the client handshake over an established
-// connection (handy for tests over in-memory pipes), offering the newest
-// protocol version. The timeout bounds the handshake only.
+// connection (handy for tests over in-memory pipes). It offers Version and
+// fails with ErrVersion when the server answers any other. The timeout
+// bounds the handshake only.
 func NewClientConn(conn net.Conn, timeout time.Duration) (*ClientConn, error) {
-	return NewClientConnVersion(conn, timeout, Version)
-}
-
-// NewClientConnVersion performs the client handshake offering a specific
-// protocol version — the knob behind the version-negotiation matrix tests
-// and staged downgrades. The session settles on min(offer, server).
-func NewClientConnVersion(conn net.Conn, timeout time.Duration, offer uint8) (*ClientConn, error) {
 	c := &ClientConn{
 		conn: conn,
 		r:    NewReader(conn),
@@ -1050,7 +877,7 @@ func NewClientConnVersion(conn net.Conn, timeout time.Duration, offer uint8) (*C
 		_ = conn.SetDeadline(time.Now().Add(timeout))
 		defer func() { _ = conn.SetDeadline(time.Time{}) }()
 	}
-	c.scratch = AppendHello(c.scratch[:0], offer)
+	c.scratch = AppendHello(c.scratch[:0], Version)
 	if _, err := conn.Write(c.scratch); err != nil {
 		return nil, fmt.Errorf("wire: handshake write: %w", err)
 	}
@@ -1062,79 +889,37 @@ func NewClientConnVersion(conn net.Conn, timeout time.Duration, offer uint8) (*C
 	if err != nil {
 		return nil, err
 	}
-	if v > offer {
-		return nil, fmt.Errorf("%w: server answered v%d, offered v%d", ErrVersion, v, offer)
+	if v != Version {
+		return nil, fmt.Errorf("%w: server answered v%d, want v%d", ErrVersion, v, Version)
 	}
-	c.version = v
 	return c, nil
 }
 
-// ProtocolVersion returns the negotiated protocol version.
-func (c *ClientConn) ProtocolVersion() uint8 { return c.version }
-
-// Send buffers one request frame in the session's negotiated layout; call
-// Flush before blocking on Recv.
+// Send buffers one request frame; call Flush before blocking on Recv.
 func (c *ClientConn) Send(req *Request) error {
-	c.scratch = AppendRequestV(c.scratch[:0], req, c.version)
-	_, err := c.bw.Write(c.scratch)
-	return err
+	return c.write(AppendRequestV(c.scratch[:0], req, Version), nil)
 }
 
 // SendSet buffers one whole-set request frame; call Flush before blocking
-// on RecvSet. The session must have negotiated protocol v2 or newer — a v1
-// server would kill the connection on the unknown type byte.
+// on RecvSet.
 func (c *ClientConn) SendSet(req *SetRequest) error {
-	if c.version < VersionSets {
-		return fmt.Errorf("%w: set frames need v%d, session negotiated v%d",
-			ErrVersion, VersionSets, c.version)
-	}
-	var err error
-	c.scratch, err = AppendSetRequestV(c.scratch[:0], req, c.version)
-	if err != nil {
-		return err
-	}
-	_, err = c.bw.Write(c.scratch)
-	return err
+	return c.write(AppendSetRequest(c.scratch[:0], req))
 }
 
-// SendDelta buffers one delta-request frame. The negotiated version must
-// be at least VersionDelta.
+// SendDelta buffers one delta-request frame; call Flush before blocking on
+// RecvDelta.
 func (c *ClientConn) SendDelta(req *DeltaRequest) error {
-	if c.version < VersionDelta {
-		return fmt.Errorf("%w: delta frames need v%d, session negotiated v%d",
-			ErrVersion, VersionDelta, c.version)
-	}
-	var err error
-	c.scratch, err = AppendDeltaRequest(c.scratch[:0], req)
+	return c.write(AppendDeltaRequest(c.scratch[:0], req))
+}
+
+// write buffers one encoded frame, keeping its buffer as the next scratch.
+func (c *ClientConn) write(frame []byte, err error) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.bw.Write(c.scratch)
+	c.scratch = frame
+	_, err = c.bw.Write(frame)
 	return err
-}
-
-// RecvDelta blocks for the next delta-response frame and decodes it into resp.
-func (c *ClientConn) RecvDelta(resp *DeltaResponse) error {
-	typ, body, err := c.r.Next()
-	if err != nil {
-		return err
-	}
-	if typ != TypeDeltaResponse {
-		return fmt.Errorf("%w: 0x%02x where a delta response was expected", ErrUnknownType, typ)
-	}
-	return ParseDeltaResponse(body, resp)
-}
-
-// RecvSet blocks for the next set-response frame and decodes it into resp.
-func (c *ClientConn) RecvSet(resp *SetResponse) error {
-	typ, body, err := c.r.Next()
-	if err != nil {
-		return err
-	}
-	if typ != TypeSetResponse {
-		return fmt.Errorf("%w: 0x%02x where a set response was expected", ErrUnknownType, typ)
-	}
-	return ParseSetResponseV(body, resp, c.version)
 }
 
 // Flush pushes buffered frames onto the wire.
@@ -1143,14 +928,41 @@ func (c *ClientConn) Flush() error { return c.bw.Flush() }
 // Recv blocks for the next response frame and decodes it into resp.
 // Responses arrive in completion order, not send order — correlate by ID.
 func (c *ClientConn) Recv(resp *Response) error {
-	typ, body, err := c.r.Next()
+	body, err := c.next(TypeResponse)
 	if err != nil {
 		return err
 	}
-	if typ != TypeResponse {
-		return fmt.Errorf("%w: 0x%02x where a response was expected", ErrUnknownType, typ)
+	return ParseResponseV(body, resp, Version)
+}
+
+// RecvSet blocks for the next set-response frame and decodes it into resp.
+func (c *ClientConn) RecvSet(resp *SetResponse) error {
+	body, err := c.next(TypeSetResponse)
+	if err != nil {
+		return err
 	}
-	return ParseResponseV(body, resp, c.version)
+	return ParseSetResponse(body, resp)
+}
+
+// RecvDelta blocks for the next delta-response frame and decodes it into resp.
+func (c *ClientConn) RecvDelta(resp *DeltaResponse) error {
+	body, err := c.next(TypeDeltaResponse)
+	if err != nil {
+		return err
+	}
+	return ParseDeltaResponse(body, resp)
+}
+
+// next blocks for the next frame and checks that it has type want.
+func (c *ClientConn) next(want byte) ([]byte, error) {
+	typ, body, err := c.r.Next()
+	if err != nil {
+		return nil, err
+	}
+	if typ != want {
+		return nil, fmt.Errorf("%w: 0x%02x where 0x%02x was expected", ErrUnknownType, typ, want)
+	}
+	return body, nil
 }
 
 // Close tears the connection down.
